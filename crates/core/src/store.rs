@@ -51,6 +51,7 @@ use crate::export::{canonical_order, elem_rank};
 use crate::gcost::{CostElem, CostGraph, FieldKey, HeapEffect, TaggedSite};
 use crate::graph::{DepGraph, NodeId, NodeKind};
 use lowutil_ir::{AllocSiteId, FieldId, InstrId, MethodId, StaticId};
+pub(crate) use lowutil_vm::crc32;
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::error::Error;
@@ -150,65 +151,8 @@ pub(crate) fn effect_code(e: &HeapEffect) -> (u32, u32, u32, u32) {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 and content hashing
+// Content hashing
 // ---------------------------------------------------------------------------
-
-const fn crc32_tables() -> [[u32; 256]; 8] {
-    let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        t[0][i] = crc;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            t[k][i] = (t[k - 1][i] >> 8) ^ t[0][(t[k - 1][i] & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    t
-}
-
-static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
-
-/// CRC32 (IEEE), slice-by-8: eight table lookups per 8-byte chunk
-/// instead of one per byte. Bit-identical to the classic byte-at-a-time
-/// loop (which still handles the tail) — section checksums sit on the
-/// per-absorb snapshot path, so the constant factor matters.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    let t = &CRC32_TABLES;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
-    }
-    !crc
-}
 
 /// FNV-1a 64-bit over a byte string — the snapshot's content-hash
 /// primitive (no external hash crates; stability across builds matters

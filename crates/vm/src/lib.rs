@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod batch;
+mod crc;
 mod event;
 mod heap;
 mod interp;
@@ -51,6 +52,7 @@ pub mod trace;
 mod tracer;
 
 pub use batch::{BatchRecord, BatchSink, BatchTarget, EventBatch, DEFAULT_BATCH_LIMIT};
+pub use crc::{crc32, Crc32};
 pub use event::{Event, FrameInfo};
 pub use heap::{Heap, HeapObject};
 pub use interp::{RunConfig, RunOutcome, Trap, TrapKind, Vm};

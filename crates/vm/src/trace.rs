@@ -55,6 +55,7 @@
 //! allocation, so a corrupt length yields a [`TraceError`], never an
 //! over-allocation.
 
+use crate::crc::{crc32, Crc32};
 use crate::event::{Event, FrameInfo};
 use crate::sink::EventSink;
 use lowutil_ir::{
@@ -120,60 +121,6 @@ impl fmt::Display for TraceError {
 }
 
 impl std::error::Error for TraceError {}
-
-// ---------------------------------------------------------------------------
-// crc32 (IEEE 802.3, reflected, poly 0xEDB88320)
-// ---------------------------------------------------------------------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// Incremental CRC32: `update` over any number of slices, then `finish`.
-#[derive(Debug, Clone, Copy)]
-struct Crc32(u32);
-
-impl Crc32 {
-    fn new() -> Self {
-        Crc32(0xFFFF_FFFF)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        let mut crc = self.0;
-        for &b in bytes {
-            crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
-        }
-        self.0 = crc;
-    }
-
-    fn finish(self) -> u32 {
-        !self.0
-    }
-}
-
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = Crc32::new();
-    c.update(bytes);
-    c.finish()
-}
 
 // ---------------------------------------------------------------------------
 // varint codec
