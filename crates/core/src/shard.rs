@@ -1,11 +1,12 @@
-//! Segment-parallel construction of `G_cost` from a recorded trace.
+//! Shard-wise construction of `G_cost` from a segmented event stream.
 //!
 //! A trace (see `lowutil_vm::trace`) is framed into segments at
 //! frame-push boundaries, each carrying a prologue describing the live
-//! shadow stack. This module builds one *shard graph* per segment,
-//! independently and in parallel, then merges the shards into a
-//! [`CostGraph`] that is **byte-identical** (under the canonical
-//! serialization in [`crate::export`]) to the graph a sequential
+//! shadow stack; the pipelined live profiler cuts its event batches the
+//! same way. This module builds one *shard graph* per segment or batch,
+//! independently, then merges the shards into a [`CostGraph`] that is
+//! **byte-identical** (under the canonical serialization in
+//! [`crate::export`]) to the graph a sequential
 //! [`GraphBuilder`](crate::GraphBuilder) run produces. Determinism falls out of the abstract
 //! domain: nodes are keyed by `(InstrId, CostElem)`, not arrival order,
 //! so shard union is just intern + frequency-sum + edge-union.
@@ -13,15 +14,19 @@
 //! The only cross-segment information a shard cannot reconstruct locally
 //! is (a) the allocation-site tag and allocation-time context of objects
 //! allocated in *earlier* segments, and (b) the defining node of shadow
-//! locations last written in earlier segments. (a) is solved by two cheap
-//! parallel prescan passes that build a global object table
-//! ([`scan_alloc_sites`] / [`scan_alloc_contexts`]); (b) is solved
+//! locations last written in earlier segments. (a) is solved by one
+//! in-order [`ObjectTableScan`] that builds the object table ahead of
+//! the shard builds; (b) is solved
 //! *symbolically*: a shard records a read of a location it never wrote as
 //! [`Loc`]-labelled external edge, and records its final write to every
 //! location, so the sequential merge can resolve each shard's external
 //! reads against the accumulated writes of all earlier shards.
+//!
+//! Trace replay itself does not shard: [`replay_cost_graph`] is one
+//! sequential pass, because a fan-out over segments did about twice the
+//! sequential work and could not balance (see `lowutil_par::replay_gcost`).
 
-use crate::context::{extend_context, slot_of, thread_base, ConflictStats, EMPTY_CONTEXT};
+use crate::context::{extend_context, slot_of, thread_base, ConflictStats};
 use crate::dense::{DenseInterner, InstrIndexer};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::gcost::{
@@ -33,7 +38,7 @@ use lowutil_ir::{AllocSiteId, InstrId, Local, ObjectId, Program, StaticId, Threa
 use lowutil_vm::trace::{Prologue, PrologueFrame, Segment, TraceError, TraceReader};
 use lowutil_vm::{Event, EventSink, FrameInfo};
 
-/// What the prescan learns about one heap object: everything a shard
+/// What the object table knows about one heap object: everything a shard
 /// needs to reconstruct `shadow_heap.tag(o)` without having seen the
 /// allocation.
 #[derive(Debug, Clone, Copy)]
@@ -49,8 +54,8 @@ pub struct ObjectInfo {
 }
 
 /// Sequentially replays a whole trace through a fresh [`GraphBuilder`](crate::GraphBuilder) —
-/// the single-threaded replay path, and the reference the sharded path
-/// is tested against.
+/// the replay path, and the reference the sharded construction is
+/// tested against.
 ///
 /// # Errors
 /// Fails on a malformed trace.
@@ -88,70 +93,8 @@ pub fn replay_segments(
 }
 
 // ---------------------------------------------------------------------------
-// prescan passes
+// shard building
 // ---------------------------------------------------------------------------
-
-/// Prescan pass A (config-independent, parallel per segment): which
-/// object ids were allocated at which site, and whether the allocation
-/// was inside a phase window.
-///
-/// # Errors
-/// Fails on a malformed segment.
-pub fn scan_alloc_sites(
-    seg: &Segment<'_>,
-) -> Result<Vec<(ObjectId, AllocSiteId, bool)>, TraceError> {
-    struct Scan {
-        in_phase: bool,
-        out: Vec<(ObjectId, AllocSiteId, bool)>,
-    }
-    impl EventSink for Scan {
-        fn event(&mut self, e: &Event) {
-            match e {
-                Event::Phase { begin, .. } => self.in_phase = *begin,
-                Event::Alloc { object, site, .. } => self.out.push((*object, *site, self.in_phase)),
-                _ => {}
-            }
-        }
-    }
-    let mut s = Scan {
-        in_phase: seg.prologue().in_phase,
-        out: Vec::new(),
-    };
-    seg.replay(&mut s)?;
-    Ok(s.out)
-}
-
-/// Assembles pass A's per-segment results into a dense
-/// `object → (site, in_phase)` table.
-pub fn build_site_table(
-    per_segment: &[Vec<(ObjectId, AllocSiteId, bool)>],
-) -> Vec<Option<(AllocSiteId, bool)>> {
-    let max = per_segment
-        .iter()
-        .flatten()
-        .map(|(o, ..)| o.index())
-        .max()
-        .map_or(0, |m| m + 1);
-    let mut table = vec![None; max];
-    for &(o, site, in_phase) in per_segment.iter().flatten() {
-        table[o.index()] = Some((site, in_phase));
-    }
-    table
-}
-
-/// The tag the live profiler's shadow heap carries for `o`: its site,
-/// but only if the allocation was armed when it executed.
-fn site_of(
-    table: &[Option<(AllocSiteId, bool)>],
-    phase_limited: bool,
-    o: ObjectId,
-) -> Option<AllocSiteId> {
-    let (site, in_phase) = (*table.get(o.index())?)?;
-    if phase_limited && !in_phase {
-        return None;
-    }
-    Some(site)
-}
 
 /// Rebuilds the context stack a segment starts under by folding the
 /// prologue's receiver chain, outermost frame first, on top of the
@@ -173,90 +116,6 @@ fn seed_contexts(
     }
     gs
 }
-
-/// Prescan pass B (parallel per segment, given pass A's global site
-/// table): the encoded context chain `g` in force at each allocation.
-/// Needs the *global* table because a receiver may have been allocated
-/// in an earlier segment.
-///
-/// # Errors
-/// Fails on a malformed segment.
-pub fn scan_alloc_contexts(
-    seg: &Segment<'_>,
-    phase_limited: bool,
-    site_table: &[Option<(AllocSiteId, bool)>],
-) -> Result<Vec<(ObjectId, u64)>, TraceError> {
-    struct Scan<'t> {
-        base: u64,
-        contexts: Vec<u64>,
-        table: &'t [Option<(AllocSiteId, bool)>],
-        phase_limited: bool,
-        out: Vec<(ObjectId, u64)>,
-    }
-    impl EventSink for Scan<'_> {
-        fn event(&mut self, e: &Event) {
-            if let Event::Alloc { object, .. } = e {
-                let g = self.contexts.last().copied().unwrap_or(self.base);
-                self.out.push((*object, g));
-            }
-        }
-
-        fn frame_push(&mut self, info: &FrameInfo) {
-            let parent = self.contexts.last().copied().unwrap_or(self.base);
-            let site = info
-                .receiver
-                .and_then(|o| site_of(self.table, self.phase_limited, o));
-            let g = match site {
-                Some(site) => extend_context(parent, site),
-                None => parent,
-            };
-            self.contexts.push(g);
-        }
-
-        fn frame_pop(&mut self) {
-            self.contexts.pop();
-        }
-    }
-    let base = thread_base(seg.prologue().thread);
-    let mut s = Scan {
-        base,
-        contexts: seed_contexts(base, &seg.prologue().frames, |o| {
-            site_of(site_table, phase_limited, o)
-        }),
-        table: site_table,
-        phase_limited,
-        out: Vec::new(),
-    };
-    seg.replay(&mut s)?;
-    Ok(s.out)
-}
-
-/// Zips the two prescan passes into the final object table.
-pub fn build_object_table(
-    site_table: &[Option<(AllocSiteId, bool)>],
-    per_segment_gs: &[Vec<(ObjectId, u64)>],
-) -> Vec<Option<ObjectInfo>> {
-    let mut table: Vec<Option<ObjectInfo>> = site_table
-        .iter()
-        .map(|e| {
-            e.map(|(site, in_phase)| ObjectInfo {
-                site,
-                g: EMPTY_CONTEXT,
-                in_phase,
-            })
-        })
-        .collect();
-    for &(o, g) in per_segment_gs.iter().flatten() {
-        if let Some(Some(info)) = table.get_mut(o.index()) {
-            info.g = g;
-        }
-    }
-    table
-}
-
-// ---------------------------------------------------------------------------
-// shard building
-// ---------------------------------------------------------------------------
 
 /// A shadow *location* in the global run, used to name cross-segment
 /// data flow symbolically.
@@ -392,7 +251,7 @@ pub struct ShardGraph {
 /// inline-cache array, both sized by the static instruction count and
 /// so by far the largest per-shard allocations. A worker thread keeps
 /// one scratch and threads it through every shard it builds
-/// ([`build_shard_reusing`] / [`shard_sink_reusing`]): construction
+/// ([`shard_sink_reusing`]): construction
 /// reuses the warm tables and the between-shards reset clears only the
 /// entries actually written (O(nodes interned), not O(|I| × |D|)), so
 /// steady-state shard building stops paying the allocator per batch.
@@ -463,27 +322,6 @@ pub fn build_shard(
     Ok(b.finish())
 }
 
-/// [`build_shard`] with arena reuse: builds the segment's shard using
-/// (and afterwards resetting and restoring) `scratch`'s side tables.
-/// The graph is identical to [`build_shard`]'s — the tables start every
-/// shard empty either way; only the allocations are shared.
-///
-/// # Errors
-/// Fails on a malformed segment. The scratch is replaced by a fresh
-/// (empty) one on error, so a caller retrying stays correct.
-pub fn build_shard_reusing(
-    ctx: &ShardContext,
-    objects: &[Option<ObjectInfo>],
-    seg: &Segment<'_>,
-    scratch: &mut ShardScratch,
-) -> Result<ShardGraph, TraceError> {
-    let mut b = ShardBuilder::with_scratch(ctx, objects, seg.prologue(), std::mem::take(scratch));
-    seg.replay(&mut b)?;
-    let (graph, sc) = b.finish_parts();
-    *scratch = sc;
-    Ok(graph)
-}
-
 /// An incrementally fed shard builder — the same construction as
 /// [`build_shard`], but driven by an in-memory event stream (a live
 /// pipelined batch) instead of a decoded trace segment. Feed it the
@@ -543,15 +381,14 @@ impl EventSink for ShardSink<'_> {
     }
 }
 
-/// Streaming, in-run replacement for the two offline prescan passes
-/// ([`scan_alloc_sites`] + [`scan_alloc_contexts`]): fed the run's
-/// batches in order, it maintains the growing object table and reports
-/// each batch's newly allocated objects as a delta.
+/// The object table, built in one in-order pass: fed a run's batches
+/// (or a trace's segments) in order, it maintains the growing table and
+/// reports each batch's newly allocated objects as a delta.
 ///
-/// The fusion into one in-order pass is valid because any object a
-/// frame push or store references must already exist — i.e. was
-/// allocated earlier in the same stream — so the prefix table answers
-/// every lookup the offline passes answer with the global table.
+/// One pass suffices because any object a frame push or store
+/// references must already exist — i.e. was allocated earlier in the
+/// same stream — so the prefix table answers every lookup a shard
+/// makes.
 #[derive(Debug)]
 pub struct ObjectTableScan {
     phase_limited: bool,
@@ -753,7 +590,7 @@ impl<'c> ShardBuilder<'c> {
     }
 
     /// The live profiler's `shadow_heap.tag(o)`, reconstructed from the
-    /// prescan object table.
+    /// object table.
     fn tag_of(&self, o: ObjectId) -> Option<TaggedSite> {
         let info = self.objects.get(o.index()).copied().flatten()?;
         if self.ctx.config.phase_limited && !info.in_phase {
@@ -1438,8 +1275,12 @@ pub fn merge_shards(shards: Vec<ShardGraph>) -> CostGraph {
 }
 
 /// Builds the object table and every shard sequentially, then merges —
-/// the single-threaded reference for the parallel driver in
-/// `lowutil-par`, and the easiest way to replay shard-style in tests.
+/// the single-threaded reference for the pipelined profiler's sharded
+/// construction, and the easiest way to replay shard-style in tests.
+///
+/// The object table comes from one in-order [`ObjectTableScan`] over the
+/// whole trace, each segment announcing its owning thread first exactly
+/// as [`replay_segments`] does.
 ///
 /// # Errors
 /// Fails on a malformed trace.
@@ -1449,22 +1290,15 @@ pub fn sharded_replay_sequential(
     reader: &TraceReader<'_>,
 ) -> Result<CostGraph, TraceError> {
     let ctx = ShardContext::new(program, config);
-    let sites: Vec<_> = reader
-        .segments()
-        .iter()
-        .map(scan_alloc_sites)
-        .collect::<Result<_, _>>()?;
-    let site_table = build_site_table(&sites);
-    let gs: Vec<_> = reader
-        .segments()
-        .iter()
-        .map(|s| scan_alloc_contexts(s, config.phase_limited, &site_table))
-        .collect::<Result<_, _>>()?;
-    let objects = build_object_table(&site_table, &gs);
+    let mut scan = ObjectTableScan::new(config.phase_limited);
+    for seg in reader.segments() {
+        scan.thread(seg.prologue().thread);
+        seg.replay(&mut scan)?;
+    }
     let shards: Vec<_> = reader
         .segments()
         .iter()
-        .map(|s| build_shard(&ctx, &objects, s))
+        .map(|s| build_shard(&ctx, scan.table(), s))
         .collect::<Result<_, _>>()?;
     Ok(merge_shards(shards))
 }

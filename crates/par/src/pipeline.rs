@@ -26,8 +26,8 @@
 //! [`GraphBuilder`](lowutil_core::GraphBuilder) — the exact sequential
 //! build cost, just moved off the VM thread. With `jobs ≥ 2` the
 //! coordinator pops batches in order, runs the streaming
-//! [`ObjectTableScan`] (the in-run fusion of the offline prescan
-//! passes), and deals each batch into one of `jobs` per-worker SPSC
+//! [`ObjectTableScan`] (one in-order pass building the object table),
+//! and deals each batch into one of `jobs` per-worker SPSC
 //! [`Lanes`] — routed by a shard key (the method the batch enters, for
 //! construction-table locality) with overflow to any lane with room,
 //! so a slow worker never serializes the deal. Non-empty object-table

@@ -181,6 +181,10 @@ impl<'a> Cur<'a> {
         Cur { buf, pos: 0, base }
     }
 
+    /// Builds the error at the cursor. Kept out of line: decoding a
+    /// valid trace never gets here, and the hot getters stay small.
+    #[cold]
+    #[inline(never)]
     fn err(&self, message: impl Into<String>) -> TraceError {
         TraceError {
             offset: self.base + self.pos,
@@ -192,13 +196,21 @@ impl<'a> Cur<'a> {
         self.pos >= self.buf.len()
     }
 
+    #[inline]
     fn u8(&mut self) -> Result<u8, TraceError> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| self.err("unexpected end of trace"))?;
-        self.pos += 1;
-        Ok(b)
+        match self.buf.get(self.pos) {
+            Some(&b) => {
+                self.pos += 1;
+                Ok(b)
+            }
+            None => Err(self.eof()),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn eof(&self) -> TraceError {
+        self.err("unexpected end of trace")
     }
 
     /// LEB128 decode, with branchless-style fast paths for the 1- and
@@ -243,11 +255,13 @@ impl<'a> Cur<'a> {
         }
     }
 
+    #[inline]
     fn u32(&mut self) -> Result<u32, TraceError> {
         let v = self.u64()?;
         u32::try_from(v).map_err(|_| self.err("varint overflows u32"))
     }
 
+    #[inline]
     fn u16(&mut self) -> Result<u16, TraceError> {
         let v = self.u64()?;
         u16::try_from(v).map_err(|_| self.err("varint overflows u16"))
@@ -367,6 +381,7 @@ fn put_instr(buf: &mut Vec<u8>, at: InstrId) {
     put_u32(buf, at.pc);
 }
 
+#[inline]
 fn get_instr(c: &mut Cur) -> Result<InstrId, TraceError> {
     let method = MethodId(c.u32()?);
     let pc = c.u32()?;
@@ -377,6 +392,7 @@ fn put_local(buf: &mut Vec<u8>, l: Local) {
     put_u32(buf, u32::from(l.0));
 }
 
+#[inline]
 fn get_local(c: &mut Cur) -> Result<Local, TraceError> {
     Ok(Local(c.u16()?))
 }
@@ -388,6 +404,7 @@ fn put_opt_local(buf: &mut Vec<u8>, l: Option<Local>) {
     }
 }
 
+#[inline]
 fn get_opt_local(c: &mut Cur) -> Result<Option<Local>, TraceError> {
     let v = c.u32()?;
     if v == 0 {
@@ -437,6 +454,7 @@ fn put_value(buf: &mut Vec<u8>, v: Value) {
     }
 }
 
+#[inline]
 fn get_value_tag(c: &mut Cur, tag: u8) -> Result<Value, TraceError> {
     match tag {
         VAL_NULL => Ok(Value::Null),
@@ -447,6 +465,7 @@ fn get_value_tag(c: &mut Cur, tag: u8) -> Result<Value, TraceError> {
     }
 }
 
+#[inline]
 fn get_value(c: &mut Cur) -> Result<Value, TraceError> {
     let tag = c.u8()?;
     get_value_tag(c, tag)
@@ -459,6 +478,7 @@ fn put_opt_value(buf: &mut Vec<u8>, v: Option<Value>) {
     }
 }
 
+#[inline]
 fn get_opt_value(c: &mut Cur) -> Result<Option<Value>, TraceError> {
     let tag = c.u8()?;
     if tag == VAL_ABSENT {
@@ -2170,6 +2190,252 @@ mod tests {
         }
         assert!(Cur::new(&[0x80], 0).u64().is_err(), "truncated 2-byte");
         assert!(Cur::new(&[], 0).u64().is_err(), "empty input");
+    }
+
+    /// One record of every kind, with multi-byte varints in most fields
+    /// so cuts land inside fields as well as between them.
+    fn one_record_of_each_kind() -> Vec<(&'static str, Event)> {
+        let at = InstrId::new(MethodId(300), 200);
+        let obj = ObjectId(70_000);
+        vec![
+            (
+                "compute",
+                Event::Compute {
+                    at,
+                    dst: Local(130),
+                    uses: [Some(Local(3)), None],
+                    value: Value::Int(-5_000_000),
+                },
+            ),
+            (
+                "predicate",
+                Event::Predicate {
+                    at,
+                    op: CmpOp::Le,
+                    uses: [Local(1), Local(200)],
+                    taken: true,
+                },
+            ),
+            (
+                "alloc",
+                Event::Alloc {
+                    at,
+                    dst: Local(2),
+                    object: obj,
+                    site: AllocSiteId(300),
+                    len_use: Some(Local(129)),
+                },
+            ),
+            (
+                "load_field",
+                Event::LoadField {
+                    at,
+                    dst: Local(1),
+                    base: Local(2),
+                    object: obj,
+                    field: FieldId(140),
+                    offset: 3,
+                    value: Value::Float(1.5),
+                },
+            ),
+            (
+                "store_field",
+                Event::StoreField {
+                    at,
+                    base: Local(2),
+                    object: obj,
+                    field: FieldId(140),
+                    offset: 3,
+                    src: Local(150),
+                    value: Value::Ref(obj),
+                },
+            ),
+            (
+                "array_load",
+                Event::ArrayLoad {
+                    at,
+                    dst: Local(1),
+                    base: Local(2),
+                    object: obj,
+                    idx: Local(3),
+                    index: 1000,
+                    value: Value::Int(42),
+                },
+            ),
+            (
+                "array_store",
+                Event::ArrayStore {
+                    at,
+                    base: Local(2),
+                    object: obj,
+                    idx: Local(3),
+                    index: 1000,
+                    src: Local(4),
+                    value: Value::Null,
+                },
+            ),
+            (
+                "call",
+                Event::Call {
+                    at,
+                    callee: MethodId(129),
+                    args: vec![Local(1), Local(300), Local(2)],
+                },
+            ),
+            (
+                "native",
+                Event::Native {
+                    at,
+                    native: NativeId(7),
+                    args: vec![Local(1), Local(2)],
+                    dst: Some(Local(4)),
+                    value: Some(Value::Int(-1)),
+                },
+            ),
+            (
+                "return",
+                Event::Return {
+                    at,
+                    src: Some(Local(1)),
+                    value: Some(Value::Float(-0.25)),
+                },
+            ),
+            (
+                "spawn",
+                Event::Spawn {
+                    at,
+                    dst: Local(5),
+                    thread: ThreadId(3),
+                    callee: MethodId(129),
+                    args: vec![Local(260), Local(1)],
+                },
+            ),
+            (
+                "join",
+                Event::Join {
+                    at,
+                    dst: Some(Local(5)),
+                    thread: ThreadId(3),
+                    value: Some(Value::Int(9)),
+                },
+            ),
+        ]
+    }
+
+    /// One encoded record, with where its argument list starts (just
+    /// past the count) and how many locals it declares, if it has one.
+    struct Encoded {
+        name: &'static str,
+        bytes: Vec<u8>,
+        args: Option<(usize, usize)>,
+    }
+
+    /// Encodes `e`, locating its argument list by diffing against the
+    /// encoding of the same record with no arguments.
+    fn encode_record(name: &'static str, e: &Event) -> Encoded {
+        let mut bytes = Vec::new();
+        put_event(&mut bytes, e);
+        let mut bare = e.clone();
+        let n = match &mut bare {
+            Event::Call { args, .. } | Event::Native { args, .. } | Event::Spawn { args, .. } => {
+                std::mem::take(args).len()
+            }
+            _ => 0,
+        };
+        let mut without = Vec::new();
+        put_event(&mut without, &bare);
+        let args = (n > 0)
+            .then(|| bytes.iter().zip(&without).position(|(a, b)| a != b))
+            .flatten()
+            .map(|count_at| (count_at + 1, n));
+        Encoded { name, bytes, args }
+    }
+
+    /// Cutting a segment payload at every byte inside its last record
+    /// fails with the offset and message the decoder has always given:
+    /// end of trace at the cut, except inside an argument list, whose
+    /// declared count is checked against the bytes left just after it.
+    /// The records before the cut are delivered; nothing panics.
+    #[test]
+    fn cut_records_fail_at_pinned_offsets() {
+        const BASE: usize = 1000;
+        let mut prefix = vec![OP_FRAME_POP];
+        put_event(
+            &mut prefix,
+            &Event::Jump {
+                at: InstrId::new(MethodId(1), 2),
+            },
+        );
+        let mut records: Vec<Encoded> = one_record_of_each_kind()
+            .iter()
+            .map(|(name, e)| encode_record(name, e))
+            .collect();
+        let mut push = vec![OP_FRAME_PUSH];
+        put_frame_info(
+            &mut push,
+            &FrameInfo {
+                method: MethodId(300),
+                call_site: Some(InstrId::new(MethodId(300), 200)),
+                num_params: 2,
+                num_locals: 140,
+                receiver: Some(ObjectId(70_000)),
+                num_args: 2,
+            },
+        );
+        records.push(Encoded {
+            name: "frame_push",
+            bytes: push,
+            args: None,
+        });
+        let with_args = records.iter().filter(|r| r.args.is_some()).count();
+        assert_eq!(with_args, 3, "call, native and spawn carry argument lists");
+
+        let mut cuts = 0;
+        for Encoded {
+            name,
+            bytes: record,
+            args,
+        } in &records
+        {
+            let mut payload = prefix.clone();
+            payload.extend_from_slice(record);
+            let whole = Segment {
+                prologue: Prologue::default(),
+                payload: &payload,
+                payload_offset: BASE,
+            };
+            whole
+                .replay(&mut CountingSink::new())
+                .unwrap_or_else(|e| panic!("{name}: whole record rejected: {e}"));
+            for k in 1..record.len() {
+                let seg = Segment {
+                    payload: &payload[..prefix.len() + k],
+                    ..whole.clone()
+                };
+                let mut sink = CountingSink::new();
+                let err = seg
+                    .replay(&mut sink)
+                    .expect_err(&format!("{name}: cut at {k} decoded"));
+                let (at, message) = match *args {
+                    Some((start, n)) if k >= start && k - start < n => (
+                        start,
+                        format!(
+                            "declared locals count {n} cannot fit in {} remaining bytes",
+                            k - start
+                        ),
+                    ),
+                    _ => (k, "unexpected end of trace".to_string()),
+                };
+                assert_eq!(
+                    (err.offset, err.message.as_str()),
+                    (BASE + prefix.len() + at, message.as_str()),
+                    "{name}: cut at {k}"
+                );
+                assert_eq!((sink.pops, sink.events), (1, 1), "{name}: cut at {k}");
+                cuts += 1;
+            }
+        }
+        assert!(cuts > 13 * 4, "every record must be several bytes long");
     }
 
     /// A program exercising every event kind: heap, arrays, statics,

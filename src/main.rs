@@ -24,9 +24,10 @@
 //!                                    (N records per segment; smaller
 //!                                    segments salvage at a finer grain)
 //! lowutil replay <file.lu> <trace> [--jobs N] [--salvage]
-//!                                    rebuild G_cost from a trace (sharded
-//!                                    across N workers) and print the same
-//!                                    report as `report`; with --salvage a
+//!                                    rebuild G_cost from a trace in one
+//!                                    sequential pass (N analysis workers)
+//!                                    and print the same report as
+//!                                    `report`; with --salvage a
 //!                                    truncated or corrupt trace replays its
 //!                                    longest checksum-valid prefix instead
 //!                                    of erroring out
