@@ -125,7 +125,7 @@ fn main() {
         if verify_replay {
             let (_, trace, _, _) = run_recorded(&w.program);
             let (replayed, stats, _) =
-                run_salvage_replayed(&w.program, CostGraphConfig::default(), &trace, 1);
+                run_salvage_replayed(&w.program, CostGraphConfig::default(), &trace);
             assert!(stats.is_clean(), "{name}: fresh recording flagged damaged");
             let canon = |g: &lowutil_core::CostGraph| {
                 let mut buf = Vec::new();

@@ -158,7 +158,6 @@ proptest! {
             &p,
             CostGraphConfig::default(),
             8,
-            &[1, 2, 7],
             "props::replay_and_sharded_merge_match_live",
         );
     }
