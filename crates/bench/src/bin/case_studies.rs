@@ -10,21 +10,17 @@
 //! order, so output is identical to a sequential `--jobs 1` run.
 //!
 //! Usage: `case_studies [--size small|default|large] [--report] [--jobs N]
-//! [--verify-replay] [--pipeline [--pipeline-batch N]]`
+//! [--verify-replay]`
 //!
 //! `--verify-replay` additionally records each bloated run's event trace
 //! and checks that the salvage-replay path rebuilds the very graph the
 //! numbers came from — the case-study results are then certified
 //! reproducible from a trace artifact alone.
-//!
-//! `--pipeline` builds each study's graph with the pipelined profiler
-//! (construction off the VM thread) instead of the sequential one; the
-//! graphs are byte-identical, so every printed number is unchanged.
 
 use lowutil_analyses::cost::CostBenefitConfig;
 use lowutil_analyses::dead::dead_value_metrics;
 use lowutil_analyses::report::low_utility_report_batch;
-use lowutil_bench::{run_pipelined, run_plain, run_profiled, run_recorded, run_salvage_replayed};
+use lowutil_bench::{run_plain, run_profiled, run_recorded, run_salvage_replayed};
 use lowutil_core::CostGraphConfig;
 use lowutil_workloads::{workload, WorkloadSize};
 
@@ -60,8 +56,6 @@ fn main() {
     let mut size = WorkloadSize::Default;
     let mut show_report = false;
     let mut verify_replay = false;
-    let mut pipeline = false;
-    let mut pipeline_batch = lowutil_vm::DEFAULT_BATCH_LIMIT;
     let mut jobs = lowutil_par::default_jobs();
     let mut args = std::env::args().skip(1).peekable();
     while let Some(a) = args.next() {
@@ -72,13 +66,6 @@ fn main() {
             },
             "--report" => show_report = true,
             "--verify-replay" => verify_replay = true,
-            "--pipeline" => pipeline = true,
-            "--pipeline-batch" => {
-                match lowutil_bench::args::take_value(&mut args).and_then(|v| v.parse().ok()) {
-                    Some(n) => pipeline_batch = std::cmp::max(n, 1),
-                    None => eprintln!("--pipeline-batch needs a number"),
-                }
-            }
             "--jobs" => match lowutil_bench::args::take_jobs(&mut args) {
                 Some(n) => jobs = n,
                 None => eprintln!("--jobs needs a number"),
@@ -99,14 +86,7 @@ fn main() {
             100.0 * (1.0 - fast.objects_allocated as f64 / base.objects_allocated.max(1) as f64);
         // What the automatic dead-structure elimination pass recovers,
         // without any of the paper's restructuring.
-        let (graph, out, _) = if pipeline {
-            // Pipelined construction produces the identical graph, so
-            // every downstream number is unchanged; jobs = 2 keeps the
-            // study pool from oversubscribing the machine.
-            run_pipelined(&w.program, CostGraphConfig::default(), 2, pipeline_batch)
-        } else {
-            run_profiled(&w.program, CostGraphConfig::default())
-        };
+        let (graph, out, _) = run_profiled(&w.program, CostGraphConfig::default());
         let auto_red = match lowutil_analyses::eliminate_dead_instructions(&w.program, &graph) {
             Ok((auto_prog, _)) => {
                 let (auto_out, _) = run_plain(&auto_prog);

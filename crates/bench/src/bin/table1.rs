@@ -20,8 +20,7 @@
 //!
 //! Usage: `table1 [--size small|default|large] [--slots N ...] [--jobs N]
 //!         [--json PATH] [--record DIR | --replay DIR]
-//!         [--analysis batch|reference] [--pipeline [--pipeline-batch N]]
-//!         [--store DIR]`
+//!         [--analysis batch|reference] [--store DIR]`
 //!
 //! `--store DIR` adds a sequential post-pass over the persistent CSR
 //! store: each workload's graph is saved to `DIR/<name>.snap`, loaded
@@ -35,12 +34,6 @@
 //! canonical export is asserted byte-identical to the live one, and the
 //! cached ranking bit-identical to the cold one; the JSON gains a
 //! `store` array.
-//!
-//! `--pipeline` (live mode only) adds a quiet sequential post-pass
-//! comparing plain, sequential-profiled, and pipelined wall times
-//! (warmup + median of 3 each) and asserts the pipelined graph is
-//! byte-identical to the sequential one; the JSON gains a `pipeline`
-//! array with the overhead-reduction factors.
 //!
 //! `--analysis` selects the cost-benefit engine behind the structure
 //! ranking summary (default `batch`); both engines print identical
@@ -62,8 +55,7 @@ use lowutil_analyses::structure::{
 };
 use lowutil_bench::args::{take_jobs, take_size, take_value};
 use lowutil_bench::{
-    median_time, overhead_factor, run_pipelined, run_plain, run_profiled, run_recorded,
-    run_replayed,
+    median_time, overhead_factor, run_plain, run_profiled, run_recorded, run_replayed,
 };
 use lowutil_core::{read_snapshot, save_snapshot, write_snapshot, Aggregate, AlignedBuf};
 use lowutil_core::{CostGraph, CostGraphConfig, GraphStats, IncrementalCsr};
@@ -86,14 +78,8 @@ struct Args {
     json: Option<String>,
     mode: Mode,
     analysis: EngineChoice,
-    pipeline: bool,
-    pipeline_batch: usize,
-    /// Worker count for the pipeline post-pass: an explicit `--jobs`,
-    /// else picked adaptively (in-thread on a single core).
-    pipeline_jobs: usize,
     /// Detected core count (`available_parallelism`), recorded in the
-    /// JSON baseline so fallback-tier numbers are never mistaken for
-    /// genuine-overlap ones.
+    /// JSON baseline next to the timings it qualifies.
     cores: usize,
     /// Directory for the persistent-store post-pass (`--store DIR`).
     store: Option<String>,
@@ -107,9 +93,6 @@ fn parse_args() -> Args {
         json: None,
         mode: Mode::Live,
         analysis: EngineChoice::default(),
-        pipeline: false,
-        pipeline_batch: lowutil_vm::DEFAULT_BATCH_LIMIT,
-        pipeline_jobs: lowutil_par::auto_pipeline_jobs(),
         cores: lowutil_par::default_jobs(),
         store: None,
     };
@@ -136,10 +119,7 @@ fn parse_args() -> Args {
                 }
             }
             "--jobs" => match take_jobs(&mut args) {
-                Some(n) => {
-                    parsed.jobs = n;
-                    parsed.pipeline_jobs = n;
-                }
+                Some(n) => parsed.jobs = n,
                 None => eprintln!("--jobs needs a number"),
             },
             "--json" => match take_value(&mut args) {
@@ -158,15 +138,9 @@ fn parse_args() -> Args {
                 Some(e) => parsed.analysis = e,
                 None => eprintln!("--analysis needs batch|reference"),
             },
-            "--pipeline" => parsed.pipeline = true,
             "--store" => match take_value(&mut args) {
                 Some(d) => parsed.store = Some(d),
                 None => eprintln!("--store needs a directory"),
-            },
-            "--pipeline-batch" => match take_value(&mut args).and_then(|v| v.parse::<usize>().ok())
-            {
-                Some(n) => parsed.pipeline_batch = n.max(1),
-                None => eprintln!("--pipeline-batch needs a number"),
             },
             other => eprintln!("ignoring unknown argument `{other}`"),
         }
@@ -534,81 +508,6 @@ fn main() {
         );
     }
 
-    // Pipelined-profiling overhead: plain vs sequential-profiled vs
-    // pipelined, each warmup + median-of-3, measured in a sequential
-    // post-pass so neither the suite pool nor sibling measurements
-    // perturb the comparison. Live mode only — the pipeline exists to
-    // overlap construction with a *running* VM.
-    // On a single core the adaptive post-pass degenerates to the
-    // in-thread fallback — there is no second core to overlap with, so
-    // "pipelined" times would measure the fallback tier, not overlap.
-    // Skip the measurement and mark the skip in the JSON instead of
-    // silently recording fallback numbers.
-    let overlap_skipped = args.pipeline && args.mode == Mode::Live && args.pipeline_jobs == 0;
-    let pipeline_times: Vec<(&'static str, Duration, Duration, Duration)> = if overlap_skipped {
-        eprintln!(
-            "pipeline overlap skipped: {} core(s) detected, no worker core to overlap with \
-             (pass an explicit --jobs to force it)",
-            args.cores
-        );
-        Vec::new()
-    } else if args.pipeline {
-        if args.mode == Mode::Live {
-            NAMES
-                .iter()
-                .map(|&name| {
-                    let w = lowutil_workloads::workload(name, args.size);
-                    let config = CostGraphConfig::default();
-                    let (_, t_plain) = median_time(3, || run_plain(&w.program));
-                    let (g_prof, t_prof) = median_time(3, || {
-                        let (g, _, t) = run_profiled(&w.program, config);
-                        (g, t)
-                    });
-                    let (g_pipe, t_pipe) = median_time(3, || {
-                        let (g, _, t) = run_pipelined(
-                            &w.program,
-                            config,
-                            args.pipeline_jobs,
-                            args.pipeline_batch,
-                        );
-                        (g, t)
-                    });
-                    assert!(
-                        export_bytes(&g_prof) == export_bytes(&g_pipe),
-                        "pipelined graph diverged from sequential on {name}"
-                    );
-                    (name, t_plain, t_prof, t_pipe)
-                })
-                .collect()
-        } else {
-            eprintln!("--pipeline only applies to live mode; ignoring");
-            Vec::new()
-        }
-    } else {
-        Vec::new()
-    };
-    if !pipeline_times.is_empty() {
-        println!();
-        println!(
-            "=== pipelined profiling (jobs = {}, batch = {}) ===",
-            args.pipeline_jobs, args.pipeline_batch
-        );
-        println!(
-            "{:<12} {:>10} {:>12} {:>13} {:>10}",
-            "program", "plain(ms)", "profiled(ms)", "pipelined(ms)", "ovh-red"
-        );
-        for (name, t_plain, t_prof, t_pipe) in &pipeline_times {
-            println!(
-                "{:<12} {:>10.2} {:>12.2} {:>13.2} {:>9.2}x",
-                name,
-                t_plain.as_secs_f64() * 1e3,
-                t_prof.as_secs_f64() * 1e3,
-                t_pipe.as_secs_f64() * 1e3,
-                overhead_reduction(*t_plain, *t_prof, *t_pipe),
-            );
-        }
-    }
-
     // Analysis-phase timing: per-seed reference vs batch engine on the
     // same finished graph, so ranking time is split from build time.
     // Sequential post-pass (baseline runs only) so the comparison is not
@@ -692,15 +591,7 @@ fn main() {
     }
 
     if let Some(path) = &args.json {
-        let json = baseline_json(
-            &args,
-            &rows,
-            &analysis_times,
-            &pipeline_times,
-            &store_times,
-            overlap_skipped,
-            wall.elapsed(),
-        );
+        let json = baseline_json(&args, &rows, &analysis_times, &store_times, wall.elapsed());
         match std::fs::write(path, json) {
             Ok(()) => eprintln!("wrote perf baseline to {path}"),
             Err(e) => {
@@ -858,22 +749,12 @@ fn time_ranking<F: FnMut() -> Vec<StructureCostBenefit>>(
     (first, t0.elapsed() / ITERS)
 }
 
-/// Canonical export bytes — the identity the pipelined profiler is held
-/// to against the sequential one.
+/// Canonical export bytes — the identity a loaded snapshot is held to
+/// against the graph it was saved from.
 fn export_bytes(g: &CostGraph) -> Vec<u8> {
     let mut buf = Vec::new();
     lowutil_core::write_cost_graph(g, &mut buf).expect("in-memory export succeeds");
     buf
-}
-
-/// How much of the profiling overhead (`profiled − plain`) the pipeline
-/// removes: `(profiled − plain) / (pipelined − plain)`. Overheads are
-/// clamped to 1µs so a pipelined run at plain speed reads as a large
-/// finite factor, not a division by zero.
-fn overhead_reduction(t_plain: Duration, t_profiled: Duration, t_pipelined: Duration) -> f64 {
-    let prof = (t_profiled.as_secs_f64() - t_plain.as_secs_f64()).max(1e-6);
-    let pipe = (t_pipelined.as_secs_f64() - t_plain.as_secs_f64()).max(1e-6);
-    prof / pipe
 }
 
 /// Engine-agreement guard for the timing post-pass: same structures in
@@ -895,14 +776,11 @@ fn mode_name(mode: &Mode) -> &'static str {
 
 /// Renders the machine-readable perf baseline. Serde is not available
 /// offline, so the (flat, fixed-shape) document is formatted by hand.
-#[allow(clippy::too_many_arguments)]
 fn baseline_json(
     args: &Args,
     rows: &[Row],
     analysis_times: &[(&'static str, Duration, Duration, Duration)],
-    pipeline_times: &[(&'static str, Duration, Duration, Duration)],
     store_times: &[StoreTiming],
-    overlap_skipped: bool,
     total: Duration,
 ) -> String {
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
@@ -941,38 +819,6 @@ fn baseline_json(
         ));
     }
     s.push_str("  ],\n");
-    // Pipelined profiling: quiet-post-pass medians of plain, sequential
-    // profiled, and pipelined wall times, with the overhead-reduction
-    // factor `(profiled − plain) / (pipelined − plain)`. When the
-    // machine has no core to overlap on, an explicit marker replaces
-    // the measurements — fallback-tier numbers must never masquerade
-    // as genuine-overlap ones.
-    if overlap_skipped {
-        s.push_str("  \"pipeline_overlap_skipped\": \"single_core\",\n");
-    }
-    if !pipeline_times.is_empty() {
-        s.push_str(&format!(
-            "  \"pipeline_jobs\": {},\n  \"pipeline_batch\": {},\n  \"pipeline\": [\n",
-            args.pipeline_jobs, args.pipeline_batch
-        ));
-        for (i, (name, t_plain, t_prof, t_pipe)) in pipeline_times.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"name\": \"{}\", \"plain_ms\": {:.3}, \"profiled_ms\": {:.3}, \
-                 \"pipelined_ms\": {:.3}, \"overhead_reduction\": {:.2}}}{}\n",
-                name,
-                ms(*t_plain),
-                ms(*t_prof),
-                ms(*t_pipe),
-                overhead_reduction(*t_plain, *t_prof, *t_pipe),
-                if i + 1 == pipeline_times.len() {
-                    ""
-                } else {
-                    ","
-                },
-            ));
-        }
-        s.push_str("  ],\n");
-    }
     // Persistent CSR store: building from scratch vs loading the
     // snapshot vs answering the ranking from the content-hash cache.
     if !store_times.is_empty() {

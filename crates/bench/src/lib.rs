@@ -15,7 +15,6 @@ pub mod args;
 use lowutil_core::shard::replay_cost_graph;
 use lowutil_core::{CostGraph, CostGraphConfig, CostProfiler};
 use lowutil_ir::Program;
-use lowutil_par::PipelineOptions;
 use lowutil_vm::trace::TraceStats;
 use lowutil_vm::{NullTracer, RunOutcome, SinkTracer, TraceReader, TraceWriter, Trap, Vm};
 use std::time::{Duration, Instant};
@@ -106,35 +105,6 @@ pub fn run_salvage_replayed(
     (graph, stats, start.elapsed())
 }
 
-/// Runs `program` under the pipelined profiler (graph construction off
-/// the VM thread, `jobs` shard workers), returning the graph, the
-/// outcome, and wall time. The timing covers the full pipeline —
-/// execution, construction, and the final merge — so it is directly
-/// comparable to [`run_profiled`].
-///
-/// # Panics
-/// Panics if the program traps.
-pub fn run_pipelined(
-    program: &Program,
-    config: CostGraphConfig,
-    jobs: usize,
-    batch_limit: usize,
-) -> (CostGraph, RunOutcome, Duration) {
-    let opts = PipelineOptions {
-        jobs,
-        batch_limit,
-        ..PipelineOptions::default()
-    };
-    let start = Instant::now();
-    let (out, graph) = lowutil_par::run_pipelined(program, config, &opts, |tracer| {
-        Vm::new(program)
-            .run(tracer)
-            .expect("benchmark runs cleanly under pipelined profiling")
-    });
-    let elapsed = start.elapsed();
-    (graph, out, elapsed)
-}
-
 /// Timing methodology for live numbers: one untimed warmup run, then the
 /// median of `runs` timed samples of `f` (clamped to at least 1). The
 /// warmup pages in code and warms allocator caches; the median discards
@@ -218,21 +188,6 @@ mod tests {
         let (g, stats, _) = run_salvage_replayed(&w.program, config, &trace[..trace.len() / 2]);
         assert!(!stats.is_clean());
         assert!(g.graph().num_nodes() > 0 || stats.segments_kept == 0);
-    }
-
-    #[test]
-    fn pipelined_profile_matches_sequential() {
-        let w = workload("fop", WorkloadSize::Small);
-        let (graph_seq, out_seq, _) = run_profiled(&w.program, CostGraphConfig::default());
-        let (graph_pipe, out_pipe, _) =
-            run_pipelined(&w.program, CostGraphConfig::default(), 2, 256);
-        assert_eq!(out_seq.output, out_pipe.output);
-        let bytes = |g: &CostGraph| {
-            let mut buf = Vec::new();
-            lowutil_core::write_cost_graph(g, &mut buf).unwrap();
-            buf
-        };
-        assert_eq!(bytes(&graph_seq), bytes(&graph_pipe));
     }
 
     #[test]

@@ -155,23 +155,12 @@ impl ConflictStats {
             .insert(g);
     }
 
-    /// Unions another statistics table into this one (used when merging
-    /// replay shards). The distinct-chain sets per `(instr, slot)` union,
-    /// so the result is identical to having recorded both streams into
-    /// one table, in any order.
-    pub fn merge(&mut self, other: ConflictStats) {
-        for (instr, slots) in other.seen {
-            let entry = self.seen.entry(instr).or_default();
-            for (slot, gs) in slots {
-                entry.entry(slot).or_default().extend(gs);
-            }
-        }
-        self.last = None;
-    }
-
-    /// [`merge`](ConflictStats::merge) without consuming (or cloning)
-    /// the source — the per-absorb path unions hundreds of chain sets,
-    /// and cloning them first costs more than the union itself.
+    /// Unions another statistics table into this one (used when an
+    /// aggregate absorbs a session). The distinct-chain sets per
+    /// `(instr, slot)` union, so the result is identical to having
+    /// recorded both streams into one table, in any order. Borrows the
+    /// source: the per-absorb path unions hundreds of chain sets, and
+    /// cloning them first costs more than the union itself.
     pub fn merge_from(&mut self, other: &ConflictStats) {
         for (instr, slots) in &other.seen {
             let entry = self.seen.entry(*instr).or_default();

@@ -79,13 +79,6 @@ const EMPTY: NodeId = NodeId(u32::MAX);
 pub struct DenseInterner {
     table: Vec<NodeId>,
     cardinality: usize,
-    /// Slots written since construction or the last [`reset`]
-    /// (`DenseInterner::reset`) — one entry per *node*, recorded on the
-    /// cold path only, so a reset costs O(nodes interned) instead of
-    /// O(|I| × |D|). This is what lets a shard worker reuse one table
-    /// across every batch it builds (arena reuse) rather than paying an
-    /// allocate-and-zero of the full table per batch.
-    touched: Vec<u32>,
 }
 
 impl DenseInterner {
@@ -97,7 +90,6 @@ impl DenseInterner {
         DenseInterner {
             table: vec![EMPTY; slots],
             cardinality,
-            touched: Vec::new(),
         }
     }
 
@@ -114,16 +106,6 @@ impl DenseInterner {
     /// Approximate memory footprint of the table in bytes.
     pub fn approx_bytes(&self) -> usize {
         self.table.capacity() * std::mem::size_of::<NodeId>()
-    }
-
-    /// Returns the table to its empty state by clearing only the slots
-    /// written since the last reset — O(nodes interned), making the
-    /// table reusable across shards without reallocating.
-    pub fn reset(&mut self) {
-        for &slot in &self.touched {
-            self.table[slot as usize] = EMPTY;
-        }
-        self.touched.clear();
     }
 
     /// Returns the node for `(instr, elem)`, creating it in `graph` if
@@ -152,7 +134,6 @@ impl DenseInterner {
         }
         let id = graph.intern(instr, elem, kind);
         self.table[slot] = id;
-        self.touched.push(slot as u32);
         id
     }
 }
@@ -211,33 +192,6 @@ mod tests {
         assert_eq!(indexer.index(at(0, 3)), 3);
         assert_eq!(indexer.index(at(1, 0)), 4);
         assert_eq!(indexer.index(at(2, 2)), 11);
-    }
-
-    /// After `reset`, a reused table interns a fresh graph exactly as a
-    /// newly allocated table would — no stale node ids survive.
-    #[test]
-    fn reset_returns_the_table_to_empty() {
-        let indexer = InstrIndexer {
-            method_offsets: vec![0, 3],
-            num_instrs: 5,
-        };
-        let mut di = DenseInterner::new(indexer.num_instrs(), 4);
-        let mut g1: DepGraph<u32> = DepGraph::new();
-        // Populate in one order so surviving entries would be visible as
-        // wrong ids in the second, differently ordered graph.
-        for &(instr, elem) in &[(at(1, 1), 3u32), (at(0, 0), 1), (at(0, 2), 0)] {
-            di.intern(&mut g1, &indexer, instr, elem, NodeKind::Plain);
-        }
-        di.reset();
-        let mut reused: DepGraph<u32> = DepGraph::new();
-        let mut fresh_di = DenseInterner::new(indexer.num_instrs(), 4);
-        let mut fresh: DepGraph<u32> = DepGraph::new();
-        for &(instr, elem) in &[(at(0, 0), 2u32), (at(1, 1), 3), (at(0, 0), 2)] {
-            let a = di.intern(&mut reused, &indexer, instr, elem, NodeKind::Plain);
-            let b = fresh_di.intern(&mut fresh, &indexer, instr, elem, NodeKind::Plain);
-            assert_eq!(a, b);
-        }
-        assert_eq!(reused.num_nodes(), fresh.num_nodes());
     }
 
     #[test]

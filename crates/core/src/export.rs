@@ -191,7 +191,7 @@ pub(crate) fn write_pointsto_line<W: Write>(
 /// and renumbered, and edge/reference-edge records are sorted, so two
 /// graphs with the same abstract content serialize to identical bytes
 /// regardless of construction order. This is what makes "live == replayed
-/// == shard-merged" checkable by byte comparison.
+/// == aggregated" checkable by byte comparison.
 ///
 /// # Errors
 /// Propagates I/O errors from the writer.

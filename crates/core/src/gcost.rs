@@ -258,11 +258,11 @@ impl ThreadState {
 /// Empty inline-cache entry. `g = 0` is the valid empty context, so the
 /// node component is the sentinel; node ids are dense from 0 and a graph
 /// would need 2³²−1 nodes before colliding with it.
-pub(crate) const IC_EMPTY: NodeId = NodeId(u32::MAX);
+const IC_EMPTY: NodeId = NodeId(u32::MAX);
 
 /// A fresh inline-cache table: one empty entry per static instruction
 /// when the cache is enabled, zero-length (never consulted) otherwise.
-pub(crate) fn new_icache(enabled: bool, num_instrs: usize) -> Vec<(u64, NodeId)> {
+fn new_icache(enabled: bool, num_instrs: usize) -> Vec<(u64, NodeId)> {
     if enabled {
         vec![(0, IC_EMPTY); num_instrs]
     } else {
@@ -271,10 +271,8 @@ pub(crate) fn new_icache(enabled: bool, num_instrs: usize) -> Vec<(u64, NodeId)>
 }
 
 /// Builds the static control-dependence table consulted under
-/// [`CostGraphConfig::control_edges`]. Shared by the live builder and the
-/// per-shard replay builders so every construction path sees identical
-/// control edges.
-pub(crate) fn build_control_deps(
+/// [`CostGraphConfig::control_edges`].
+fn build_control_deps(
     program: &lowutil_ir::Program,
     config: &CostGraphConfig,
 ) -> FxHashMap<InstrId, Vec<InstrId>> {
@@ -840,9 +838,9 @@ pub struct CostGraph {
 
 impl CostGraph {
     /// Assembles the finished artifact from builder state, deriving the
-    /// field read/write indexes from the effects table. Used by both the
-    /// sequential [`GraphBuilder::finish`] and the shard merge, so every
-    /// construction path produces structurally identical results.
+    /// field read/write indexes from the effects table. Used by both
+    /// [`GraphBuilder::finish`] and [`Aggregate::to_cost_graph`](crate::Aggregate::to_cost_graph),
+    /// so every construction path produces structurally identical results.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn assemble(
         graph: DepGraph<CostElem>,
@@ -1035,7 +1033,7 @@ impl CostGraph {
     ///
     /// Computed from graph *content* (node/edge/effect counts), never
     /// from allocation capacities, so the number is identical however the
-    /// graph was built — live, replayed, or merged from shards.
+    /// graph was built — live, replayed, or materialized from an aggregate.
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let effect_count = self.effects.iter().flatten().count();

@@ -190,7 +190,7 @@ impl<D: Clone + Eq + Hash> DepGraph<D> {
     }
 
     /// Adds `delta` to a node's execution frequency (used when merging
-    /// shard graphs: frequencies of the same abstract node sum).
+    /// session graphs: frequencies of the same abstract node sum).
     pub fn add_freq(&mut self, node: NodeId, delta: u64) {
         self.nodes[node.index()].freq += delta;
     }
@@ -253,8 +253,8 @@ impl<D: Clone + Eq + Hash> DepGraph<D> {
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         // Count content (lengths), not allocation capacities: the figure
-        // must not depend on construction history, so a graph merged from
-        // replay shards reports exactly what a live-built one does.
+        // must not depend on construction history, so a graph rebuilt from
+        // an aggregate reports exactly what a live-built one does.
         let node_bytes = self.nodes.len() * size_of::<Node<D>>();
         let index_bytes = self.index.len() * (size_of::<(InstrId, D)>() + size_of::<NodeId>() + 16);
         let adj_bytes: usize = self

@@ -49,8 +49,7 @@
 //! ```
 
 // `deny` rather than `forbid`: the snapshot store's byte-slice casts
-// ([`store`]) carve out one audited `#[allow(unsafe_code)]` module, the
-// same discipline as `lowutil-par`'s ring buffer.
+// ([`store`]) carve out one audited `#[allow(unsafe_code)]` module.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -84,11 +83,7 @@ pub use gcost::{
 };
 pub use graph::{DepGraph, Node, NodeId, NodeKind};
 pub use incr::{IncrDirty, IncrementalCsr};
-pub use shard::{
-    apply_object_delta, build_shard, merge_shards, replay_cost_graph, replay_segments, shard_sink,
-    sharded_replay_sequential, AbsorbDelta, AbstractNode, Aggregate, ObjectInfo, ObjectTableScan,
-    ShardContext, ShardGraph, ShardSink,
-};
+pub use shard::{replay_cost_graph, replay_segments, AbsorbDelta, AbstractNode, Aggregate};
 pub use stats::GraphStats;
 pub use store::{
     content_hash, fnv1a64, read_snapshot, save_snapshot, verify_snapshot, write_snapshot,

@@ -12,26 +12,18 @@
 //! index from a shared cursor, so a slow item (e.g. the `eclipse`
 //! workload) does not serialize the rest of its stripe.
 //!
-//! The crate also hosts the *within-run* parallelism of the pipelined
-//! live profiler: a bounded multi-producer [`mpsc_ring`] carries event
-//! batches into [`run_pipelined`]'s coordinator (and spent buffers
-//! back from its shard workers), while per-worker SPSC
-//! [`ring`](mod@ring) lanes fan batches out to the workers.
+//! The crate also hosts trace replay ([`replay_gcost`]), which is one
+//! sequential pass, and [`run_pipelined`], a shim over the sequential
+//! profiler kept for callers of the removed pipelined profiler.
 
-// `deny` (not `forbid`) so `ring` can carve out the one audited unsafe
-// module; everything else in the crate stays safe code.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod pipeline;
 mod replay;
-pub mod ring;
 
-pub use pipeline::{
-    auto_pipeline_jobs, run_pipelined, PipeProducer, PipelineOptions, PipelineSink, PipelineTracer,
-};
+pub use pipeline::{auto_pipeline_jobs, run_pipelined, PipelineOptions, PipelineTracer};
 pub use replay::{replay_gcost, salvage_replay_gcost};
-pub use ring::{lanes, mpsc_ring, ring, Lanes, MpscReceiver, MpscSender, RingReceiver, RingSender};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

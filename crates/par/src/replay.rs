@@ -8,8 +8,7 @@
 //! is ~63% of a sequential replay — and it could not balance: segments
 //! split only at frame pushes, so one segment holds nearly all of a big
 //! trace (10.61 of tomcat's 10.90 MB). It never beat one thread, so it
-//! is gone. Sharded construction lives on in the pipelined live
-//! profiler (`run_pipelined`), where batches are cut to size.
+//! is gone.
 
 use lowutil_core::shard::replay_cost_graph;
 use lowutil_core::{CostGraph, CostGraphConfig};

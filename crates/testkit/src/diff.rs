@@ -1,14 +1,13 @@
 //! Differential assertion helpers shared by the integration suites.
 //!
-//! The pipeline's core correctness claim is an identity chain: the live
-//! profile, the replay of a recorded trace, and the shard-wise
-//! build-and-merge of its segments must produce byte-identical cost
-//! graphs under the canonical export. Salvage extends the chain to
+//! The pipeline's core correctness claim is an identity: the live
+//! profile and the replay of a recorded trace must produce
+//! byte-identical cost graphs under the canonical export. Salvage extends the chain to
 //! damaged traces: the salvaged graph must equal the original graph
 //! restricted to the kept segment prefix. These helpers state those
 //! identities once, with panics that name the diverging stage.
 
-use lowutil_core::shard::{replay_segments, sharded_replay_sequential};
+use lowutil_core::shard::replay_segments;
 use lowutil_core::{write_cost_graph, CostGraph, CostGraphConfig, GraphBuilder};
 use lowutil_ir::Program;
 use lowutil_par::{replay_gcost, salvage_replay_gcost};
@@ -47,15 +46,14 @@ pub fn record_with_live_graph(
     (bytes, stats, builder.finish())
 }
 
-/// Asserts the full identity chain on one program: live graph ==
-/// replay == shard-wise build and merge of the trace's segments, all
-/// judged on canonical bytes. Returns the trace bytes so callers can
+/// Asserts the identity on one program: live graph == replay of the
+/// recorded trace, judged on canonical bytes. Returns the trace bytes so callers can
 /// feed them to the corruption harness without re-recording.
 ///
 /// # Panics
 /// Panics (with `label`) on any divergence, on a trap, or on a
 /// malformed trace — all test failures.
-pub fn assert_live_replay_sharded_identical(
+pub fn assert_live_replay_identical(
     program: &Program,
     config: CostGraphConfig,
     segment_limit: usize,
@@ -70,12 +68,6 @@ pub fn assert_live_replay_sharded_identical(
     assert!(
         canon(&g) == live_bytes,
         "{label}: replay diverged from live"
-    );
-    let sharded = sharded_replay_sequential(program, config, &reader)
-        .unwrap_or_else(|e| panic!("{label}: sharded replay failed: {e}"));
-    assert!(
-        canon(&sharded) == live_bytes,
-        "{label}: sharded replay diverged from live"
     );
     bytes
 }

@@ -11,8 +11,7 @@
 //!   overwrites, with no wall-clock randomness anywhere (seeds are
 //!   derived from loop indices so failures replay exactly).
 //! - [`diff`] — differential assertion helpers: live profile vs
-//!   replay vs shard-wise build and merge, and
-//!   salvage-prefix identity on damaged traces.
+//!   replay, and salvage-prefix identity on damaged traces.
 //! - [`alloc_guard`] — a [`std::alloc::GlobalAlloc`] wrapper tracking
 //!   current/peak heap use so corruption tests can assert a malformed
 //!   trace never triggers an absurd allocation.

@@ -40,7 +40,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 mod crc;
 mod event;
 mod heap;
@@ -51,7 +50,6 @@ mod sink;
 pub mod trace;
 mod tracer;
 
-pub use batch::{BatchRecord, BatchSink, BatchTarget, EventBatch, DEFAULT_BATCH_LIMIT};
 pub use crc::{crc32, Crc32};
 pub use event::{Event, FrameInfo};
 pub use heap::{Heap, HeapObject};

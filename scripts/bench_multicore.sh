@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Multi-core honesty wrapper for the absorb-latency baseline.
 #
-# DESIGN.md §11's recipe, scripted: pin the bench to an explicit core
-# set with taskset (when available) so the JSON's "cores" field records
-# the cores the run *actually* had — Rust's available_parallelism
-# respects the affinity mask — instead of whatever the host happens to
-# advertise. Regenerates the persistent-store baseline, including the
-# rebuild-vs-delta absorb rows.
+# Pins the bench to an explicit core set with taskset (when available)
+# so the JSON's "cores" field records the cores the run *actually* had
+# — Rust's available_parallelism respects the affinity mask — instead
+# of whatever the host happens to advertise. Regenerates the
+# persistent-store baseline, including the rebuild-vs-delta absorb rows.
 #
 # Usage: scripts/bench_multicore.sh [CORES] [OUT.json]
 #   CORES  cores to pin to, 0-based from core 0 (default: all available)

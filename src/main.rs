@@ -74,12 +74,6 @@
 //! Report-producing commands take `--analysis batch|reference` to select
 //! the cost-benefit engine (default `batch`; both emit identical bytes).
 //!
-//! Profiling commands take `--pipeline` to build `G_cost` off the VM
-//! thread (batches flow through a bounded multi-producer ring to `--jobs`
-//! shard workers; `--pipeline-batch N` sets records per batch). The
-//! resulting graph is byte-identical to the sequential profile at any job
-//! count.
-//!
 //! Execution commands take `--sched-seed N` to pick the deterministic
 //! guest-thread schedule. Race-free programs (every built-in workload)
 //! produce byte-identical reports and exports under every seed.
@@ -112,7 +106,7 @@ fn usage() -> ExitCode {
         "usage: lowutil <run|report|dead|copies|methods|caches|alloc|disasm|export|dot|suite|record|replay|snapshot|diff|serve|push|query|cache> <file.lu|name|all> [trace|snap] [flags]"
     );
     eprintln!(
-        "flags: --top N   --slots S   --control   --traditional   --size small|default|large   --jobs N   --analysis batch|reference   --salvage   --segment-limit N   --pipeline   --pipeline-batch N   --sched-seed N   --cache DIR   --min-imbalance X   --worsen-factor X   --fail-on-regression   --listen ADDR   --spool DIR   --programs DIR   --unix PATH   --idle-secs N   --max-bytes N   --max-age-secs N   --tenants DIR   --keep-latest N"
+        "flags: --top N   --slots S   --control   --traditional   --size small|default|large   --jobs N   --analysis batch|reference   --salvage   --segment-limit N   --sched-seed N   --cache DIR   --min-imbalance X   --worsen-factor X   --fail-on-regression   --listen ADDR   --spool DIR   --programs DIR   --unix PATH   --idle-secs N   --max-bytes N   --max-age-secs N   --tenants DIR   --keep-latest N"
     );
     ExitCode::from(2)
 }
@@ -127,11 +121,6 @@ struct Flags {
     analysis: EngineChoice,
     salvage: bool,
     segment_limit: Option<usize>,
-    pipeline: bool,
-    pipeline_batch: Option<usize>,
-    /// Whether `--jobs` was given explicitly. `--pipeline` without it
-    /// picks its worker count adaptively (in-thread on one core).
-    jobs_set: bool,
     /// Seed for the deterministic guest-thread scheduler.
     sched_seed: u64,
     /// Directory for the content-hash query cache (`--cache DIR`).
@@ -185,9 +174,6 @@ fn parse_flags(args: &[String]) -> Flags {
         analysis: EngineChoice::default(),
         salvage: false,
         segment_limit: None,
-        pipeline: false,
-        pipeline_batch: None,
-        jobs_set: false,
         sched_seed: 0,
         cache: None,
         min_imbalance: diff_defaults.min_imbalance,
@@ -226,7 +212,6 @@ fn parse_flags(args: &[String]) -> Flags {
                 if let Some(v) = take_value(&mut it).and_then(|s| s.parse::<usize>().ok()) {
                     // 0 workers cannot make progress; treat it as 1.
                     f.jobs = v.max(1);
-                    f.jobs_set = true;
                 } else {
                     eprintln!("--jobs needs a number; keeping {}", f.jobs);
                 }
@@ -247,14 +232,6 @@ fn parse_flags(args: &[String]) -> Flags {
                     f.segment_limit = Some(v.max(1));
                 } else {
                     eprintln!("--segment-limit needs a number; keeping the default");
-                }
-            }
-            "--pipeline-batch" => {
-                if let Some(v) = take_value(&mut it).and_then(|s| s.parse::<usize>().ok()) {
-                    // A 0-record batch cannot make progress.
-                    f.pipeline_batch = Some(v.max(1));
-                } else {
-                    eprintln!("--pipeline-batch needs a number; keeping the default");
                 }
             }
             "--sched-seed" => {
@@ -368,7 +345,6 @@ fn parse_flags(args: &[String]) -> Flags {
             "--control" => f.control = true,
             "--traditional" => f.traditional = true,
             "--salvage" => f.salvage = true,
-            "--pipeline" => f.pipeline = true,
             "--size" => match take_value(&mut it) {
                 Some("small") => f.size = WorkloadSize::Small,
                 Some("large") => f.size = WorkloadSize::Large,
@@ -408,28 +384,6 @@ fn profile(
         control_edges: flags.control,
         ..CostGraphConfig::default()
     };
-    if flags.pipeline {
-        // Graph construction runs off the VM thread; the export is
-        // byte-identical to the sequential profile below.
-        let opts = lowutil::par::PipelineOptions {
-            // An explicit --jobs N always pipelines onto N workers;
-            // otherwise pick adaptively (in-thread on a single core,
-            // where a consumer thread only adds handoff cost).
-            jobs: if flags.jobs_set {
-                flags.jobs
-            } else {
-                lowutil::par::auto_pipeline_jobs()
-            },
-            batch_limit: flags
-                .pipeline_batch
-                .unwrap_or(lowutil::vm::DEFAULT_BATCH_LIMIT),
-            ..lowutil::par::PipelineOptions::default()
-        };
-        let (out, g) = lowutil::par::run_pipelined(program, config, &opts, |tracer| {
-            make_vm(program, flags).run(tracer)
-        });
-        return Ok((g, out.map_err(|e| e.to_string())?));
-    }
     let mut prof = CostProfiler::new(program, config);
     let out = make_vm(program, flags)
         .run(&mut prof)
@@ -1151,25 +1105,6 @@ mod tests {
         assert_eq!(f.slots, 1);
         let f = flags_of(&["--segment-limit", "0"]);
         assert_eq!(f.segment_limit, Some(1));
-        let f = flags_of(&["--pipeline-batch", "0"]);
-        assert_eq!(f.pipeline_batch, Some(1));
-    }
-
-    #[test]
-    fn pipeline_flags_parse_and_compose() {
-        let f = flags_of(&["--pipeline"]);
-        assert!(f.pipeline);
-        assert_eq!(f.pipeline_batch, None);
-        let f = flags_of(&["--pipeline", "--pipeline-batch", "256", "--jobs", "4"]);
-        assert!(f.pipeline);
-        assert_eq!(f.pipeline_batch, Some(256));
-        assert_eq!(f.jobs, 4);
-        // Missing value keeps the default without swallowing the next flag.
-        let f = flags_of(&["--pipeline-batch", "--pipeline"]);
-        assert_eq!(f.pipeline_batch, None);
-        assert!(f.pipeline);
-        let f = flags_of(&[]);
-        assert!(!f.pipeline);
     }
 
     #[test]

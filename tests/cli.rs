@@ -87,6 +87,21 @@ fn export_emits_a_parseable_graph() {
     assert!(reloaded.graph().num_nodes() > 0);
 }
 
+/// `--pipeline` no longer exists; old scripts passing it get a warning
+/// and the ordinary export.
+#[test]
+fn removed_pipeline_flag_is_ignored_by_export() {
+    let (plain, _, ok) = lowutil(&["export", SAMPLE]);
+    assert!(ok);
+    let (stdout, stderr, ok) = lowutil(&["export", SAMPLE, "--pipeline", "--jobs", "3"]);
+    assert!(ok, "{stderr}");
+    assert!(
+        stderr.contains("ignoring unknown flag `--pipeline`"),
+        "{stderr}"
+    );
+    assert_eq!(stdout, plain);
+}
+
 #[test]
 fn dot_emits_graphviz() {
     let (stdout, _, ok) = lowutil(&["dot", SAMPLE]);

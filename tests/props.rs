@@ -9,7 +9,7 @@
 
 use lowutil::core::{ConcreteProfiler, CostGraphConfig, CostProfiler, SlicingMode};
 use lowutil::vm::{NullTracer, Vm};
-use lowutil_testkit::diff::assert_live_replay_sharded_identical;
+use lowutil_testkit::diff::assert_live_replay_identical;
 use lowutil_testkit::gen::{build, op_strategy, oracle, Op};
 use proptest::prelude::*;
 
@@ -148,17 +148,17 @@ proptest! {
     }
 
     #[test]
-    fn replay_and_sharded_merge_match_live(
+    fn replay_matches_live(
         ops in proptest::collection::vec(op_strategy(), 1..60)
     ) {
         let p = build(&ops);
         // A tiny segment limit so any generated call splits the trace;
-        // the helper asserts live == sequential == sharded, canonically.
-        assert_live_replay_sharded_identical(
+        // the helper asserts live == replay, canonically.
+        assert_live_replay_identical(
             &p,
             CostGraphConfig::default(),
             8,
-            "props::replay_and_sharded_merge_match_live",
+            "props::replay_matches_live",
         );
     }
 

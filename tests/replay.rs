@@ -1,7 +1,6 @@
 //! End-to-end record/replay identity over the full workload suite: for
 //! every benchmark, a trace recorded during a live profiled run must
-//! rebuild — by replay and by shard-wise build and merge — a `G_cost`
-//! byte-identical (under the canonical serialization) to the one the
+//! replay to a `G_cost` byte-identical (under the canonical serialization) to the one the
 //! live profiler produced in the same run. The identity
 //! itself is stated once, in `lowutil_testkit::diff`; this file binds it
 //! to the suite workloads and adds the trailer bookkeeping checks.
@@ -9,14 +8,13 @@
 use lowutil::core::{CostGraphConfig, GraphBuilder};
 use lowutil::vm::{SinkTracer, TraceReader, TraceWriter, Vm};
 use lowutil::workloads::{map_suite, WorkloadSize};
-use lowutil_testkit::diff::{assert_live_replay_sharded_identical, canon};
+use lowutil_testkit::diff::{assert_live_replay_identical, canon};
 
 /// Records a trace while live-profiling in the same run (one VM pass,
-/// two sinks), then checks every replay path against the live graph.
+/// two sinks), then checks the replay against the live graph.
 fn check_workload(program: &lowutil::ir::Program, config: CostGraphConfig, name: &str) {
-    // Small segment limit so every workload produces several segments
-    // and the shard-wise build actually shards.
-    let bytes = assert_live_replay_sharded_identical(program, config, 256, name);
+    // Small segment limit so every workload produces several segments.
+    let bytes = assert_live_replay_identical(program, config, 256, name);
 
     // Trailer bookkeeping: totals must match an independent re-run.
     let mut builder = GraphBuilder::new(program, config);
@@ -52,8 +50,8 @@ fn suite_replays_identically_at_every_job_count() {
 #[test]
 fn suite_replays_identically_under_ablation_configs() {
     // The configs the ablation study cares about; phase limiting and
-    // traditional uses change which events matter, so the shard builder
-    // must agree with the live builder under both.
+    // traditional uses change which events matter, so replay must agree
+    // with the live builder under both.
     let configs = [
         CostGraphConfig {
             phase_limited: true,

@@ -5,11 +5,9 @@
 //! export is byte-identical across seeds, across `--jobs` counts, and
 //! across a record→replay round trip; program output is identical too.
 
-use lowutil::core::{
-    sharded_replay_sequential, write_cost_graph, CostGraph, CostGraphConfig, CostProfiler,
-};
+use lowutil::core::{write_cost_graph, CostGraph, CostGraphConfig, CostProfiler};
 use lowutil::ir::Program;
-use lowutil::par::{replay_gcost, run_pipelined, PipelineOptions};
+use lowutil::par::replay_gcost;
 use lowutil::vm::{RunConfig, SinkTracer, TraceReader, TraceWriter, Vm};
 use lowutil::workloads::{workload, WorkloadSize, CONCURRENT_NAMES};
 use lowutil_testkit::gen::{build, op_strategy};
@@ -38,27 +36,6 @@ fn live(p: &Program, config: CostGraphConfig, seed: u64) -> (Vec<u8>, Vec<lowuti
     (export(&prof.finish()), out.output)
 }
 
-/// Pipelined profile under one scheduler seed.
-fn pipelined(
-    p: &Program,
-    config: CostGraphConfig,
-    seed: u64,
-    jobs: usize,
-    batch_limit: usize,
-) -> (Vec<u8>, Vec<lowutil::ir::Value>) {
-    let opts = PipelineOptions {
-        jobs,
-        batch_limit,
-        ring_capacity: 4,
-    };
-    let (out, g) = run_pipelined(p, config, &opts, |t| {
-        vm_with_seed(p, seed)
-            .run(t)
-            .expect("program runs pipelined")
-    });
-    (export(&g), out.output)
-}
-
 /// Records a trace under one scheduler seed.
 fn record(p: &Program, seed: u64, segment_limit: usize) -> Vec<u8> {
     let mut writer = TraceWriter::with_segment_limit(Vec::new(), segment_limit);
@@ -76,8 +53,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Every concurrent workload: an arbitrary scheduler seed produces
-    /// the same canonical export and output as seed 0, sequentially and
-    /// through the pipeline at jobs 1/2/7.
+    /// the same canonical export and output as seed 0.
     #[test]
     fn concurrent_workloads_are_seed_independent(seed in any::<u64>()) {
         let config = CostGraphConfig::default();
@@ -87,25 +63,15 @@ proptest! {
             let (seeded, out_seeded) = live(&w.program, config, seed);
             prop_assert_eq!(&out_ref, &out_seeded);
             prop_assert!(reference == seeded, "{}: export diverged at seed {}", name, seed);
-            for jobs in [1usize, 2, 7] {
-                let (pipe, out_pipe) = pipelined(&w.program, config, seed, jobs, 1);
-                prop_assert_eq!(&out_ref, &out_pipe);
-                prop_assert!(
-                    reference == pipe,
-                    "{}: pipelined export diverged at seed {} jobs {}",
-                    name, seed, jobs
-                );
-            }
         }
     }
 
     /// A trace recorded under an arbitrary seed replays — at every
-    /// `jobs` value, and shard-wise — to the same canonical export the
-    /// live run built, which itself equals the seed-0 export. Replay is
-    /// one sequential pass whatever `jobs` says (a segment fan-out did
-    /// about twice the work and never beat one thread), so the sweep
-    /// pins that `jobs` stays invisible; the shard-wise build keeps the
-    /// segment-boundary machinery the pipeline shares under test.
+    /// `jobs` value — to the same canonical export the live run built,
+    /// which itself equals the seed-0 export. Replay is one sequential
+    /// pass whatever `jobs` says (a segment fan-out did about twice the
+    /// work and never beat one thread), so the sweep pins that `jobs`
+    /// stays invisible.
     #[test]
     fn record_replay_round_trips_under_any_seed(seed in any::<u64>()) {
         let config = CostGraphConfig::default();
@@ -124,13 +90,6 @@ proptest! {
                     name, seed, jobs
                 );
             }
-            let sharded = sharded_replay_sequential(&w.program, config, &reader)
-                .unwrap_or_else(|e| panic!("{name}: sharded replay failed: {e}"));
-            prop_assert!(
-                export(&sharded) == reference,
-                "{}: sharded export diverged at seed {}",
-                name, seed
-            );
         }
     }
 
@@ -152,7 +111,9 @@ proptest! {
 }
 
 /// A pinned, deterministic spot check (no proptest shrinkage noise):
-/// named seeds × jobs × batch sizes on every concurrent workload.
+/// named seeds × segment limits × replay `jobs` on every concurrent
+/// workload, each live run and each record→replay held to the seed-0
+/// live export.
 #[test]
 fn concurrent_workload_matrix_is_byte_identical() {
     let config = CostGraphConfig::default();
@@ -160,12 +121,17 @@ fn concurrent_workload_matrix_is_byte_identical() {
         let w = workload(name, WorkloadSize::Small);
         let (reference, _) = live(&w.program, config, 0);
         for seed in [1u64, 42, 0xFEED_FACE] {
-            for jobs in [1usize, 2, 7] {
-                for batch in [1usize, 64, 4096] {
-                    let (pipe, _) = pipelined(&w.program, config, seed, jobs, batch);
+            let (seeded, _) = live(&w.program, config, seed);
+            assert_eq!(seeded, reference, "{name}: live diverged at seed={seed}");
+            for limit in [1usize, 64, 4096] {
+                let bytes = record(&w.program, seed, limit);
+                let reader = TraceReader::new(&bytes).expect("fresh recording parses");
+                for jobs in [1usize, 2, 7] {
+                    let g = replay_gcost(&w.program, config, &reader, jobs).expect("trace replays");
                     assert_eq!(
-                        pipe, reference,
-                        "{name}: diverged at seed={seed} jobs={jobs} batch={batch}"
+                        export(&g),
+                        reference,
+                        "{name}: diverged at seed={seed} limit={limit} jobs={jobs}"
                     );
                 }
             }

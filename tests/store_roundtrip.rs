@@ -1,16 +1,15 @@
 //! Round-trip identity for the persistent CSR store: for every workload
 //! in the suite, `build → save → load` must reproduce the graph exactly
 //! — same canonical export bytes, same content hash, same report text —
-//! and the snapshot written from a replay at any `jobs` value, or from
-//! a shard-wise build and merge, must be byte-identical to the one
-//! written from the live profile.
+//! and the snapshot written from a replay at any `jobs` value must be
+//! byte-identical to the one written from the live profile.
 
 use lowutil::analyses::dead::dead_value_metrics;
 use lowutil::analyses::report::low_utility_report_batch;
 use lowutil::analyses::CostBenefitConfig;
 use lowutil::core::{
-    content_hash, read_snapshot, sharded_replay_sequential, write_cost_graph, write_snapshot,
-    AlignedBuf, CostGraph, CostGraphConfig, CostProfiler,
+    content_hash, read_snapshot, write_cost_graph, write_snapshot, AlignedBuf, CostGraph,
+    CostGraphConfig, CostProfiler,
 };
 use lowutil::ir::Program;
 use lowutil::vm::{TraceReader, Vm};
@@ -83,12 +82,10 @@ fn assert_round_trip(program: &Program, name: &str) {
 }
 
 /// A snapshot saved from a replay must equal the live one at every
-/// `jobs` value, and so must one saved from a shard-wise build and
-/// merge: canonical order erases shard boundaries. Replay itself is one
-/// sequential pass at any `jobs` (a segment fan-out did about twice the
-/// work and never beat one thread), so the sweep pins that `jobs` stays
-/// invisible in the snapshot bytes.
-fn assert_sharded_snapshots_agree(program: &Program, name: &str) {
+/// `jobs` value. Replay is one sequential pass at any `jobs` (a segment
+/// fan-out did about twice the work and never beat one thread), so the
+/// sweep pins that `jobs` stays invisible in the snapshot bytes.
+fn assert_replayed_snapshots_agree(program: &Program, name: &str) {
     let config = CostGraphConfig::default();
     let (trace, _, live) = record_with_live_graph(program, config, 256);
     let reader = TraceReader::new(&trace).expect("recorded trace parses");
@@ -103,12 +100,6 @@ fn assert_sharded_snapshots_agree(program: &Program, name: &str) {
             "{name}: snapshot from jobs={jobs} replay diverged"
         );
     }
-    let sharded = sharded_replay_sequential(program, config, &reader).expect("trace replays");
-    assert_eq!(
-        reference,
-        snapshot_bytes(&sharded, instructions),
-        "{name}: snapshot from sharded replay diverged"
-    );
 }
 
 #[test]
@@ -121,7 +112,7 @@ fn suite_snapshots_round_trip() {
 #[test]
 fn suite_snapshots_identical_across_shard_counts() {
     for w in suite(WorkloadSize::Small) {
-        assert_sharded_snapshots_agree(&w.program, w.name);
+        assert_replayed_snapshots_agree(&w.program, w.name);
     }
 }
 
