@@ -470,28 +470,21 @@ impl CostEngine for IncrementalEngine<'_> {
     }
 }
 
-/// Which cost-benefit engine a front end should run — CLI/bench flag
-/// value for `--analysis`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Which cost-benefit engine computed a ranking, as recorded in the
+/// keys of the on-disk ranking cache ([`crate::qcache`]). No front end
+/// chooses between engines any more (they all run the batch engine);
+/// this stays only because the perfbench harness still builds cache
+/// keys with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineChoice {
     /// The batch engine (CSR + bitset kernels + precomputation).
-    #[default]
     Batch,
     /// The per-seed reference oracle.
     Reference,
 }
 
 impl EngineChoice {
-    /// Parses a `--analysis` flag value.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "batch" => Some(EngineChoice::Batch),
-            "reference" => Some(EngineChoice::Reference),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling of this choice.
+    /// The name this choice carries in a cache entry.
     pub fn name(self) -> &'static str {
         match self {
             EngineChoice::Batch => "batch",
@@ -590,16 +583,5 @@ done:
             assert_eq!(one.hrab(id), many.hrab(id));
             assert_eq!(one.reaches_consumer(id), many.reaches_consumer(id));
         }
-    }
-
-    #[test]
-    fn engine_choice_parses_flag_values() {
-        assert_eq!(EngineChoice::parse("batch"), Some(EngineChoice::Batch));
-        assert_eq!(
-            EngineChoice::parse("reference"),
-            Some(EngineChoice::Reference)
-        );
-        assert_eq!(EngineChoice::parse("fast"), None);
-        assert_eq!(EngineChoice::default().name(), "batch");
     }
 }

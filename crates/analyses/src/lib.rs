@@ -90,7 +90,7 @@ pub use nullprop::{
     null_tracking_profiler, trace_null_origin, NullDomain, NullOriginReport, Nullness,
 };
 pub use optimize::{dead_instructions, eliminate_dead_instructions, ElimStats};
-pub use qcache::{gc_snapshots, params_fingerprint, CacheKey, GcStats, QueryCache};
+pub use qcache::{params_fingerprint, CacheKey, QueryCache};
 pub use report::{
     low_utility_report, low_utility_report_batch, low_utility_report_with, render_report,
 };

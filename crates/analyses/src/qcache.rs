@@ -1,20 +1,20 @@
 //! Content-hash-keyed analysis-result cache.
 //!
-//! Ranking a graph is the expensive half of a report: every heap node
-//! costs a bounded traversal (or a precomputation share) before the
-//! aggregation even starts. But the ranking is a pure function of
-//! `(graph content, engine, analysis params)` — so once a graph has a
-//! content hash ([`lowutil_core::store::content_hash`]), its ranked
-//! structures can be memoized on disk and a rerun over an unchanged
-//! graph skips engine construction and every query.
+//! No front end uses this module: measured against recomputing, a
+//! miss + store + hit pass cost about five times the ranking it saved,
+//! so `lowutil` and `lowutil serve` rank directly (the daemon memoises
+//! one ranking per aggregate generation in memory). [`QueryCache`] and
+//! [`CacheKey`] stay only because the perfbench harness still times
+//! them (`analyses.qcache_*`); they go when its rows do.
 //!
-//! Cache entries are self-describing text files under one directory,
-//! named `{content_hash}-{engine}-{params}.rank`. `f64` aggregates are
-//! serialized as `to_bits` hex, so a cache hit reproduces the ranking
-//! *exactly* — reports rendered from a hit are byte-identical to live
-//! runs. Any parse problem (truncation, stale version, hand edits) is
-//! treated as a miss, never an error: the cache is an accelerator, not
-//! a source of truth.
+//! A ranking is a pure function of `(graph content, engine, analysis
+//! params)`, so once a graph has a content hash
+//! ([`lowutil_core::store::content_hash`]) its ranked structures can be
+//! memoized on disk. Entries are self-describing text files under one
+//! directory, named `{content_hash}-{engine}-{params}.rank`. `f64`
+//! aggregates are serialized as `to_bits` hex, so a hit reproduces the
+//! ranking *exactly*. Any parse problem (truncation, stale version,
+//! hand edits) is treated as a miss, never an error.
 
 use crate::batch::EngineChoice;
 use crate::cost::{CostBenefitConfig, FieldCostBenefit};
@@ -23,8 +23,7 @@ use lowutil_core::{fnv1a64, FieldKey, TaggedSite};
 use lowutil_ir::{AllocSiteId, FieldId};
 use std::fs;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
-use std::time::{Duration, SystemTime};
+use std::path::PathBuf;
 
 /// Identifies one memoizable ranking: the graph (by content hash), the
 /// engine that computed it, and the analysis parameters.
@@ -105,187 +104,6 @@ impl QueryCache {
         fs::write(&path, out)?;
         Ok(path)
     }
-
-    /// Sweeps the cache directory down to the given size/age budgets.
-    ///
-    /// Two passes over the `.rank` entries: first every entry whose
-    /// mtime is older than `max_age` is removed, then — if the
-    /// survivors still exceed `max_bytes` — entries are removed
-    /// oldest-first until the directory fits. Entries the sweep keeps
-    /// are untouched, so a warm hit after GC is byte-identical to one
-    /// before it. Files without the `.rank` suffix are ignored; a
-    /// missing directory is an empty cache, not an error.
-    ///
-    /// # Errors
-    /// Propagates I/O errors other than the directory not existing.
-    pub fn gc(&self, max_bytes: Option<u64>, max_age: Option<Duration>) -> io::Result<GcStats> {
-        let mut stats = GcStats::default();
-        let entries = match fs::read_dir(&self.dir) {
-            Ok(it) => it,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(stats),
-            Err(e) => return Err(e),
-        };
-        // (mtime, len, path) per surviving entry; unreadable metadata
-        // counts the entry as aged out (it cannot serve a hit anyway).
-        let mut live: Vec<(SystemTime, u64, PathBuf)> = Vec::new();
-        let now = SystemTime::now();
-        for entry in entries {
-            let entry = entry?;
-            let path = entry.path();
-            if path.extension().is_none_or(|e| e != "rank") {
-                continue;
-            }
-            stats.scanned += 1;
-            let meta = entry.metadata().ok();
-            let mtime = meta
-                .as_ref()
-                .and_then(|m| m.modified().ok())
-                .unwrap_or(SystemTime::UNIX_EPOCH);
-            let len = meta.map_or(0, |m| m.len());
-            let expired = match max_age {
-                Some(age) => now.duration_since(mtime).is_ok_and(|d| d > age),
-                None => false,
-            };
-            if expired {
-                fs::remove_file(&path)?;
-                stats.removed += 1;
-                stats.bytes_removed += len;
-            } else {
-                live.push((mtime, len, path));
-            }
-        }
-        let mut total: u64 = live.iter().map(|(_, len, _)| len).sum();
-        if let Some(budget) = max_bytes {
-            // mtime then path: a deterministic victim order even when a
-            // batch of stores lands within one timestamp granule.
-            live.sort();
-            let mut victims = live.iter();
-            while total > budget {
-                let Some((_, len, path)) = victims.next() else {
-                    break;
-                };
-                fs::remove_file(path)?;
-                stats.removed += 1;
-                stats.bytes_removed += len;
-                total -= len;
-            }
-        }
-        stats.bytes_kept = total;
-        Ok(stats)
-    }
-}
-
-/// Sweeps per-tenant snapshot directories (`<root>/<tenant>/*.snap`)
-/// down to the given size/age budgets — [`QueryCache::gc`]'s policy
-/// applied to the serve daemon's persisted aggregates, with one extra
-/// rule: the newest `keep_latest` snapshots of every tenant are exempt
-/// from both the age and the size sweep, so an active tenant can never
-/// lose its most recent state to GC. `keep_latest` is clamped to at
-/// least 1.
-///
-/// Age expiry runs first over the unprotected entries, then — if the
-/// directory total (protected entries included) still exceeds
-/// `max_bytes` — unprotected survivors are evicted oldest-first across
-/// all tenants until the total fits or only protected entries remain.
-/// Kept files are untouched, so a daemon restart after GC restores
-/// exactly the bytes it persisted. A missing root is an empty store,
-/// not an error; non-`.snap` files and stray non-directories are
-/// ignored.
-///
-/// # Errors
-/// Propagates I/O errors other than the root not existing.
-pub fn gc_snapshots(
-    root: &Path,
-    max_bytes: Option<u64>,
-    max_age: Option<Duration>,
-    keep_latest: usize,
-) -> io::Result<GcStats> {
-    let keep_latest = keep_latest.max(1);
-    let mut stats = GcStats::default();
-    let tenants = match fs::read_dir(root) {
-        Ok(it) => it,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(stats),
-        Err(e) => return Err(e),
-    };
-    let now = SystemTime::now();
-    let mut protected_bytes: u64 = 0;
-    // Unprotected candidates across all tenants: (mtime, len, path).
-    let mut pool: Vec<(SystemTime, u64, PathBuf)> = Vec::new();
-    for tenant in tenants {
-        let tenant = tenant?;
-        if !tenant.file_type()?.is_dir() {
-            continue;
-        }
-        let mut snaps: Vec<(SystemTime, u64, PathBuf)> = Vec::new();
-        for entry in fs::read_dir(tenant.path())? {
-            let entry = entry?;
-            let path = entry.path();
-            if path.extension().is_none_or(|e| e != "snap") {
-                continue;
-            }
-            stats.scanned += 1;
-            let meta = entry.metadata().ok();
-            let mtime = meta
-                .as_ref()
-                .and_then(|m| m.modified().ok())
-                .unwrap_or(SystemTime::UNIX_EPOCH);
-            snaps.push((mtime, meta.map_or(0, |m| m.len()), path));
-        }
-        // Newest first; ties broken by path so the protected set is
-        // deterministic within one timestamp granule.
-        snaps.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| b.2.cmp(&a.2)));
-        for (i, snap) in snaps.into_iter().enumerate() {
-            if i < keep_latest {
-                protected_bytes += snap.1;
-            } else {
-                pool.push(snap);
-            }
-        }
-    }
-    let mut pool_bytes: u64 = 0;
-    let mut live: Vec<(SystemTime, u64, PathBuf)> = Vec::new();
-    for (mtime, len, path) in pool {
-        let expired = match max_age {
-            Some(age) => now.duration_since(mtime).is_ok_and(|d| d > age),
-            None => false,
-        };
-        if expired {
-            fs::remove_file(&path)?;
-            stats.removed += 1;
-            stats.bytes_removed += len;
-        } else {
-            pool_bytes += len;
-            live.push((mtime, len, path));
-        }
-    }
-    if let Some(budget) = max_bytes {
-        live.sort();
-        let mut victims = live.iter();
-        while protected_bytes + pool_bytes > budget {
-            let Some((_, len, path)) = victims.next() else {
-                break;
-            };
-            fs::remove_file(path)?;
-            stats.removed += 1;
-            stats.bytes_removed += len;
-            pool_bytes -= len;
-        }
-    }
-    stats.bytes_kept = protected_bytes + pool_bytes;
-    Ok(stats)
-}
-
-/// What one [`QueryCache::gc`] sweep did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcStats {
-    /// `.rank` entries examined.
-    pub scanned: u64,
-    /// Entries deleted (expired plus evicted-for-size).
-    pub removed: u64,
-    /// Bytes freed by the removals.
-    pub bytes_removed: u64,
-    /// Bytes remaining in kept entries.
-    pub bytes_kept: u64,
 }
 
 fn field_token(f: FieldKey) -> String {
@@ -540,51 +358,6 @@ done:
             },
         );
         assert!(cache.load(&other_params).is_none());
-    }
-
-    #[test]
-    fn gc_respects_age_and_size_and_keeps_hits_bit_exact() {
-        let g = profile();
-        let cfg = CostBenefitConfig::default();
-        let ranked = rank_structures(&g, &cfg);
-        let dir = tmpdir("gc");
-        let cache = QueryCache::new(&dir);
-        let key = CacheKey::new(content_hash(&g), EngineChoice::Batch, &cfg);
-        let path = cache.store(&key, &ranked).unwrap();
-        let good = fs::read(&path).unwrap();
-        // Two stale strangers and one non-entry that GC must ignore.
-        let old = std::time::SystemTime::now() - std::time::Duration::from_secs(1000);
-        for name in ["00-old-00.rank", "11-old-11.rank"] {
-            let p = dir.join(name);
-            fs::write(&p, "stale").unwrap();
-            fs::File::options()
-                .write(true)
-                .open(&p)
-                .unwrap()
-                .set_modified(old)
-                .unwrap();
-        }
-        fs::write(dir.join("notes.txt"), "not a cache entry").unwrap();
-
-        let stats = cache
-            .gc(None, Some(std::time::Duration::from_secs(500)))
-            .unwrap();
-        assert_eq!((stats.scanned, stats.removed), (3, 2), "{stats:?}");
-        assert_eq!(stats.bytes_kept, good.len() as u64);
-        // The survivor still hits, byte-for-byte.
-        assert_eq!(fs::read(&path).unwrap(), good);
-        assert!(cache.load(&key).is_some(), "warm hit survives GC");
-        assert!(dir.join("notes.txt").exists(), "non-entries untouched");
-
-        // A zero byte budget evicts even fresh entries, oldest first.
-        let stats = cache.gc(Some(0), None).unwrap();
-        assert_eq!((stats.scanned, stats.removed), (1, 1), "{stats:?}");
-        assert_eq!(stats.bytes_kept, 0);
-        assert!(cache.load(&key).is_none());
-
-        // A missing directory is an empty cache, not an error.
-        fs::remove_dir_all(&dir).unwrap();
-        assert_eq!(cache.gc(Some(0), None).unwrap(), GcStats::default());
     }
 
     #[test]

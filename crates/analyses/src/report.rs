@@ -82,7 +82,11 @@ pub fn low_utility_report(
 
 /// [`low_utility_report`] ranked by the batch engine with up to `jobs`
 /// worker threads. The report text is byte-identical to the reference
-/// engine's.
+/// engine's. `lowutil` itself ranks with
+/// [`rank_structures_batch`](crate::structure::rank_structures_batch)
+/// and renders with [`render_report`]; this wrapper stays for the
+/// perfbench harness, which compiles against it, and for the tests and
+/// bench binaries that hold the two engines to the same bytes.
 pub fn low_utility_report_batch(
     program: &Program,
     gcost: &CostGraph,
@@ -119,10 +123,10 @@ pub fn low_utility_report_with<E: CostEngine>(
     render_report(program, &ranked, top_n, dead)
 }
 
-/// Renders the report text from an already-computed ranking — the path a
-/// query-cache hit takes ([`crate::qcache`]): no engine is constructed
-/// and no traversal runs. Byte-identical to the engine paths given the
-/// same ranking.
+/// Renders the report text from an already-computed ranking — the path
+/// `lowutil` and the `serve` daemon's memoised rankings take: no engine
+/// is constructed and no traversal runs. Byte-identical to the engine
+/// paths given the same ranking.
 pub fn render_report(
     program: &Program,
     ranked: &[StructureCostBenefit],

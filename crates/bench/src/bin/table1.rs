@@ -19,25 +19,20 @@
 //!   the traces a previous `--record` left in `DIR`.
 //!
 //! Usage: `table1 [--size small|default|large] [--slots N ...] [--jobs N]
-//!         [--json PATH] [--record DIR | --replay DIR]
-//!         [--analysis batch|reference] [--store DIR]`
+//!         [--json PATH] [--record DIR | --replay DIR] [--store DIR]`
 //!
 //! `--store DIR` adds a sequential post-pass over the persistent CSR
 //! store: each workload's graph is saved to `DIR/<name>.snap`, loaded
-//! back zero-copy, ranked cold from the loaded arrays, and ranked again
-//! through the content-hash query cache under `DIR/qcache` — so the
-//! baseline separates build-from-scratch, snapshot-load, cold-query,
-//! and cached-query times, plus the steady-state absorb latency of a
-//! repeat session — full rebuild (re-merge + re-serialize) vs the
-//! incremental delta path (in-place CSR patch + cached-section
-//! serialize), held to identical snapshot bytes. The loaded graph's
-//! canonical export is asserted byte-identical to the live one, and the
-//! cached ranking bit-identical to the cold one; the JSON gains a
-//! `store` array.
+//! back zero-copy and ranked from the loaded arrays — so the baseline
+//! separates build-from-scratch, snapshot-load and query times, plus
+//! the steady-state absorb latency of a repeat session — full rebuild
+//! (re-merge + re-serialize) vs the incremental delta path (in-place
+//! CSR patch + cached-section serialize), held to identical snapshot
+//! bytes. The loaded graph's canonical export is asserted
+//! byte-identical to the live one; the JSON gains a `store` array.
 //!
-//! `--analysis` selects the cost-benefit engine behind the structure
-//! ranking summary (default `batch`); both engines print identical
-//! bytes, which CI asserts by diffing the two outputs.
+//! The structure ranking summary is computed with the batch engine;
+//! `tests/batch.rs` holds it to the per-seed reference engine's bytes.
 //!
 //! `--json PATH` additionally writes a machine-readable perf baseline
 //! (wall-clock and profiled events/sec per workload; in record/replay
@@ -45,10 +40,9 @@
 //! timings — per-seed reference vs batch engine —
 //! separated from graph-build time) to `PATH`.
 
-use lowutil_analyses::batch::{BatchAnalyzer, CostEngine, EngineChoice, ReferenceEngine};
+use lowutil_analyses::batch::{BatchAnalyzer, CostEngine};
 use lowutil_analyses::cost::CostBenefitConfig;
 use lowutil_analyses::dead::dead_value_metrics;
-use lowutil_analyses::qcache::{CacheKey, QueryCache};
 use lowutil_analyses::report::describe_site;
 use lowutil_analyses::structure::{
     rank_structures, rank_structures_batch, rank_structures_with, StructureCostBenefit,
@@ -77,7 +71,6 @@ struct Args {
     jobs: usize,
     json: Option<String>,
     mode: Mode,
-    analysis: EngineChoice,
     /// Detected core count (`available_parallelism`), recorded in the
     /// JSON baseline next to the timings it qualifies.
     cores: usize,
@@ -92,7 +85,6 @@ fn parse_args() -> Args {
         jobs: lowutil_par::default_jobs(),
         json: None,
         mode: Mode::Live,
-        analysis: EngineChoice::default(),
         cores: lowutil_par::default_jobs(),
         store: None,
     };
@@ -134,10 +126,6 @@ fn parse_args() -> Args {
                 Some(d) => parsed.mode = Mode::Replay(d),
                 None => eprintln!("--replay needs a directory"),
             },
-            "--analysis" => match take_value(&mut args).and_then(|v| EngineChoice::parse(&v)) {
-                Some(e) => parsed.analysis = e,
-                None => eprintln!("--analysis needs batch|reference"),
-            },
             "--store" => match take_value(&mut args) {
                 Some(d) => parsed.store = Some(d),
                 None => eprintln!("--store needs a directory"),
@@ -167,9 +155,7 @@ struct Row {
     rank: RankSummary,
 }
 
-/// Structure-ranking digest of the default-config graph. Every field is
-/// engine-independent data — the batch and reference engines fill it
-/// with identical values, which CI checks by diffing the two outputs.
+/// Structure-ranking digest of the default-config graph.
 struct RankSummary {
     /// Ranked structures (= tagged allocation sites in `G_cost`).
     structs: usize,
@@ -181,8 +167,11 @@ struct RankSummary {
     consumer_reads: usize,
 }
 
-fn summarize<E: CostEngine>(program: &Program, gcost: &CostGraph, engine: &E) -> RankSummary {
-    let ranked = rank_structures_with(gcost, &CostBenefitConfig::default(), engine, 1);
+/// Ranks the row's default-config graph with the batch engine. Always
+/// sequential: the suite pool already runs one task per workload.
+fn ranking_summary(program: &Program, gcost: &CostGraph) -> RankSummary {
+    let engine = BatchAnalyzer::new(gcost, 1);
+    let ranked = rank_structures_with(gcost, &CostBenefitConfig::default(), &engine, 1);
     let mut consumer_reads = 0;
     for obj in gcost.objects() {
         for field in gcost.fields_of(obj) {
@@ -202,15 +191,6 @@ fn summarize<E: CostEngine>(program: &Program, gcost: &CostGraph, engine: &E) ->
         top_desc,
         top_imbalance,
         consumer_reads,
-    }
-}
-
-/// Runs the selected engine over the row's default-config graph. Always
-/// sequential: the suite pool already runs one task per workload.
-fn ranking_summary(program: &Program, gcost: &CostGraph, analysis: EngineChoice) -> RankSummary {
-    match analysis {
-        EngineChoice::Batch => summarize(program, gcost, &BatchAnalyzer::new(gcost, 1)),
-        EngineChoice::Reference => summarize(program, gcost, &ReferenceEngine::new(gcost)),
     }
 }
 
@@ -240,7 +220,7 @@ fn slot_config(s: u32) -> CostGraphConfig {
 /// runs: single-shot numbers on millisecond-scale workloads bounce
 /// enough with scheduler noise to report profiled runs as *faster* than
 /// plain ones.
-fn live_row(w: &Workload, slot_settings: &[u32], analysis: EngineChoice) -> Row {
+fn live_row(w: &Workload, slot_settings: &[u32]) -> Row {
     let (_, t_plain) = median_time(3, || run_plain(&w.program));
     let per_slot = slot_settings
         .iter()
@@ -254,7 +234,7 @@ fn live_row(w: &Workload, slot_settings: &[u32], analysis: EngineChoice) -> Row 
         ((g, o), t)
     });
     let m = dead_value_metrics(&graph, out.instructions_executed);
-    let rank = ranking_summary(&w.program, &graph, analysis);
+    let rank = ranking_summary(&w.program, &graph);
     Row {
         name: w.name,
         t_plain,
@@ -272,13 +252,7 @@ fn live_row(w: &Workload, slot_settings: &[u32], analysis: EngineChoice) -> Row 
 /// Replay-backed row: every graph is rebuilt from `trace` by sequential
 /// replay. The graphs (and hence every non-timing column) are identical
 /// to the live row's.
-fn trace_row(
-    w: &Workload,
-    trace: &[u8],
-    slot_settings: &[u32],
-    t_record: Option<Duration>,
-    analysis: EngineChoice,
-) -> Row {
+fn trace_row(w: &Workload, trace: &[u8], slot_settings: &[u32], t_record: Option<Duration>) -> Row {
     let (_, t_plain) = median_time(3, || run_plain(&w.program));
     let per_slot = slot_settings
         .iter()
@@ -293,7 +267,7 @@ fn trace_row(
         .trailer()
         .instructions;
     let m = dead_value_metrics(&graph, instructions);
-    let rank = ranking_summary(&w.program, &graph, analysis);
+    let rank = ranking_summary(&w.program, &graph);
     Row {
         name: w.name,
         t_plain,
@@ -342,18 +316,15 @@ fn main() {
     // and the default-config graph behind part (c).
     let slot_settings = args.slots.clone();
     let mode = args.mode.clone();
-    let analysis = args.analysis;
     let rows: Vec<Row> = map_suite(args.size, args.jobs, |w| match &mode {
-        Mode::Live => live_row(&w, &slot_settings, analysis),
+        Mode::Live => live_row(&w, &slot_settings),
         Mode::Record(dir) => {
             let (_, trace, _, t_record) = run_recorded(&w.program);
             let path = trace_path(dir, w.name);
             std::fs::write(&path, &trace).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-            trace_row(&w, &trace, &slot_settings, Some(t_record), analysis)
+            trace_row(&w, &trace, &slot_settings, Some(t_record))
         }
-        Mode::Replay(dir) => {
-            trace_row(&w, &read_trace(dir, w.name), &slot_settings, None, analysis)
-        }
+        Mode::Replay(dir) => trace_row(&w, &read_trace(dir, w.name), &slot_settings, None),
     });
 
     for (si, &s) in args.slots.iter().enumerate() {
@@ -400,8 +371,7 @@ fn main() {
 
     // Structure ranking summary: what the cost-benefit analysis says
     // about each workload's default-config graph. No timing columns, so
-    // CI diffs this section verbatim across `--analysis batch` and
-    // `--analysis reference`.
+    // the record/replay CI step diffs this section verbatim.
     println!("=== structure ranking summary (default config) ===");
     println!(
         "{:<12} {:>8} {:>12} {:>10}  top-structure",
@@ -545,45 +515,42 @@ fn main() {
         Vec::new()
     };
 
-    // Persistent-store timing: build vs save vs zero-copy load vs cold
-    // query vs cached query, per workload. Sequential post-pass for the
-    // same reason as the analysis timings above.
+    // Persistent-store timing: build vs save vs zero-copy load vs
+    // query, per workload. Sequential post-pass for the same reason as
+    // the analysis timings above.
     let store_times: Vec<StoreTiming> = match &args.store {
         None => Vec::new(),
         Some(dir) => {
             std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("cannot create {dir}: {e}"));
-            let cache = QueryCache::new(format!("{dir}/qcache"));
             NAMES
                 .iter()
-                .map(|&name| store_timing(name, dir, &cache, &args))
+                .map(|&name| store_timing(name, dir, &args))
                 .collect()
         }
     };
     if !store_times.is_empty() {
         println!();
-        println!("=== persistent CSR store (cold build vs load vs cached query) ===");
+        println!("=== persistent CSR store (cold build vs load vs query) ===");
         println!(
-            "{:<12} {:>10} {:>9} {:>9} {:>9} {:>10} {:>10} {:>11} {:>11}",
+            "{:<12} {:>10} {:>9} {:>9} {:>9} {:>10} {:>11} {:>11}",
             "program",
             "snap(KiB)",
             "build(ms)",
             "save(ms)",
             "load(ms)",
             "cold-q(ms)",
-            "warm-q(ms)",
             "rb-abs(ms)",
             "dt-abs(ms)"
         );
         for t in &store_times {
             println!(
-                "{:<12} {:>10.1} {:>9.2} {:>9.2} {:>9.2} {:>10.3} {:>10.3} {:>11.3} {:>11.3}",
+                "{:<12} {:>10.1} {:>9.2} {:>9.2} {:>9.2} {:>10.3} {:>11.3} {:>11.3}",
                 t.name,
                 t.snapshot_bytes as f64 / 1024.0,
                 t.t_build.as_secs_f64() * 1e3,
                 t.t_save.as_secs_f64() * 1e3,
                 t.t_load.as_secs_f64() * 1e3,
                 t.t_cold_query.as_secs_f64() * 1e3,
-                t.t_cached_query.as_secs_f64() * 1e3,
                 t.t_absorb_rebuild.as_secs_f64() * 1e3,
                 t.t_absorb_delta.as_secs_f64() * 1e3,
             );
@@ -614,8 +581,6 @@ struct StoreTiming {
     t_load: Duration,
     /// Rank from the loaded zero-copy CSR (engine construction included).
     t_cold_query: Duration,
-    /// Re-read the same ranking from the content-hash query cache.
-    t_cached_query: Duration,
     /// Absorb a repeat session, then re-materialize the merged graph and
     /// re-serialize the snapshot from scratch — what `serve` did before
     /// the incremental path.
@@ -627,9 +592,9 @@ struct StoreTiming {
 
 /// Measures one workload's save/load/query cycle against `dir`. The
 /// loaded graph is held to canonical-export byte identity with the live
-/// one, and the cached ranking to bit identity with the cold one — the
-/// numbers are only comparable because the artifacts are equal.
-fn store_timing(name: &'static str, dir: &str, cache: &QueryCache, args: &Args) -> StoreTiming {
+/// one — the numbers are only comparable because the artifacts are
+/// equal.
+fn store_timing(name: &'static str, dir: &str, args: &Args) -> StoreTiming {
     let w = lowutil_workloads::workload(name, args.size);
     let build = || match &args.mode {
         Mode::Live => {
@@ -671,19 +636,10 @@ fn store_timing(name: &'static str, dir: &str, cache: &QueryCache, args: &Args) 
         "loaded snapshot diverged from live graph on {name}"
     );
     let cfg = CostBenefitConfig::default();
-    let (cold, t_cold_query) = time_ranking(|| {
+    let (_, t_cold_query) = time_ranking(|| {
         let engine = BatchAnalyzer::with_csr(snap.csr().clone(), 1);
         rank_structures_with(&loaded, &cfg, &engine, 1)
     });
-    let key = CacheKey::new(snap.content_hash(), EngineChoice::Batch, &cfg);
-    cache
-        .store(&key, &cold)
-        .unwrap_or_else(|e| panic!("cache store for {name}: {e}"));
-    let (cached, t_cached_query) = time_ranking(|| cache.load(&key).expect("stored entry hits"));
-    assert!(
-        rankings_agree(&cold, &cached),
-        "cached ranking diverged from cold on {name}"
-    );
 
     // Steady-state absorb latency: the serve daemon's common case is
     // re-absorbing a session whose structure the aggregate has already
@@ -727,7 +683,6 @@ fn store_timing(name: &'static str, dir: &str, cache: &QueryCache, args: &Args) 
         t_save,
         t_load,
         t_cold_query,
-        t_cached_query,
         t_absorb_rebuild,
         t_absorb_delta,
     }
@@ -790,10 +745,6 @@ fn baseline_json(
     s.push_str(&format!("  \"mode\": \"{}\",\n", mode_name(&args.mode)));
     s.push_str(&format!("  \"jobs\": {},\n", args.jobs));
     s.push_str(&format!("  \"cores\": {},\n", args.cores));
-    s.push_str(&format!(
-        "  \"analysis_engine\": \"{}\",\n",
-        args.analysis.name()
-    ));
     s.push_str(&format!("  \"total_wall_ms\": {:.3},\n", ms(total)));
     s.push_str("  \"workloads\": [\n");
     for (i, row) in rows.iter().enumerate() {
@@ -820,27 +771,24 @@ fn baseline_json(
     }
     s.push_str("  ],\n");
     // Persistent CSR store: building from scratch vs loading the
-    // snapshot vs answering the ranking from the content-hash cache.
+    // snapshot vs ranking from the loaded arrays.
     if !store_times.is_empty() {
         s.push_str("  \"store\": [\n");
         for (i, t) in store_times.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"name\": \"{}\", \"snapshot_bytes\": {}, \"build_ms\": {:.3}, \
                  \"save_ms\": {:.3}, \"load_ms\": {:.3}, \"cold_query_ms\": {:.3}, \
-                 \"cached_query_ms\": {:.3}, \"absorb_rebuild_ms\": {:.3}, \
-                 \"absorb_delta_ms\": {:.3}, \"load_speedup\": {:.2}, \
-                 \"cached_query_speedup\": {:.2}, \"absorb_speedup\": {:.2}}}{}\n",
+                 \"absorb_rebuild_ms\": {:.3}, \"absorb_delta_ms\": {:.3}, \
+                 \"load_speedup\": {:.2}, \"absorb_speedup\": {:.2}}}{}\n",
                 t.name,
                 t.snapshot_bytes,
                 ms(t.t_build),
                 ms(t.t_save),
                 ms(t.t_load),
                 ms(t.t_cold_query),
-                ms(t.t_cached_query),
                 ms(t.t_absorb_rebuild),
                 ms(t.t_absorb_delta),
                 t.t_build.as_secs_f64() / t.t_load.as_secs_f64().max(1e-9),
-                t.t_cold_query.as_secs_f64() / t.t_cached_query.as_secs_f64().max(1e-9),
                 t.t_absorb_rebuild.as_secs_f64() / t.t_absorb_delta.as_secs_f64().max(1e-9),
                 if i + 1 == store_times.len() { "" } else { "," },
             ));

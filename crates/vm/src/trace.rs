@@ -28,7 +28,7 @@
 //! Traces cross machines and disks, so corrupt input is a tested,
 //! recoverable condition rather than UB. Three wire versions exist:
 //!
-//! * **v1** (legacy, read-only by default) — segments are
+//! * **v1** (legacy, read-only) — segments are
 //!   `tag, prologue-len, prologue, payload-len, payload` with no
 //!   integrity protection; the trailer is four bare varints.
 //! * **v2** — every record is length-framed and checksummed:
@@ -48,12 +48,11 @@
 //!   header version and a zero thread-id varint per prologue.
 //!
 //! [`TraceReader::new`] negotiates the version from the header and reads
-//! all three; [`TraceWriter`] writes v3 (v1 and v2 stay writable through
-//! [`TraceWriter::with_format`] for compatibility fixtures, but latch an
-//! error if the execution turns out to be multithreaded). All declared
-//! lengths are validated against the remaining buffer *before* any
-//! allocation, so a corrupt length yields a [`TraceError`], never an
-//! over-allocation.
+//! all three; [`TraceWriter`] writes only v3. The checked-in golden v1
+//! and v2 fixtures (`samples/golden_v{1,2}.trace`) keep the legacy
+//! readers pinned. All declared lengths are validated against the
+//! remaining buffer *before* any allocation, so a corrupt length yields
+//! a [`TraceError`], never an over-allocation.
 
 use crate::crc::{crc32, Crc32};
 use crate::event::{Event, FrameInfo};
@@ -67,7 +66,7 @@ use std::io::{self, Write};
 
 /// The four magic bytes opening every trace.
 pub const TRACE_MAGIC: [u8; 4] = *b"LUTR";
-/// The trace format version this crate writes by default.
+/// The trace format version this crate writes.
 pub const TRACE_VERSION: u64 = 3;
 /// The single-threaded checksummed format, still read and writable.
 pub const TRACE_VERSION_V2: u64 = 2;
@@ -954,8 +953,6 @@ pub struct TraceWriter<W: Write> {
     out: W,
     started: bool,
     io_error: Option<io::Error>,
-    /// Wire format version being written ([`TRACE_VERSION`] by default).
-    version: u64,
     /// Prologue captured at the current segment's start.
     prologue: Vec<u8>,
     /// Encoded records of the current segment.
@@ -984,30 +981,10 @@ impl<W: Write> TraceWriter<W> {
     /// of prologue overhead; tests use tiny limits to force segmentation
     /// on small programs.
     pub fn with_segment_limit(out: W, limit: usize) -> Self {
-        Self::with_format(out, limit, TRACE_VERSION)
-    }
-
-    /// Creates a writer emitting a specific wire version —
-    /// [`TRACE_VERSION`], [`TRACE_VERSION_V2`], or [`TRACE_VERSION_V1`].
-    /// The legacy paths exist so compatibility fixtures (and their
-    /// no-drift tests) can regenerate old traces; new recordings should
-    /// use [`TraceWriter::new`]. Legacy formats cannot represent thread
-    /// switches or thread events: recording a multithreaded execution
-    /// through them latches an error that [`TraceWriter::finish`]
-    /// reports.
-    ///
-    /// # Panics
-    /// Panics if `version` is not a version this crate can write.
-    pub fn with_format(out: W, limit: usize, version: u64) -> Self {
-        assert!(
-            version == TRACE_VERSION || version == TRACE_VERSION_V2 || version == TRACE_VERSION_V1,
-            "unwritable trace version {version}"
-        );
         let mut w = TraceWriter {
             out,
             started: false,
             io_error: None,
-            version,
             prologue: Vec::new(),
             seg: Vec::new(),
             seg_records: 0,
@@ -1026,9 +1003,7 @@ impl<W: Write> TraceWriter<W> {
     /// the segment that starts *now*.
     fn capture_prologue(&mut self) {
         self.prologue.clear();
-        if self.version == TRACE_VERSION {
-            put_u64(&mut self.prologue, self.cur_thread as u64);
-        }
+        put_u64(&mut self.prologue, self.cur_thread as u64);
         let frames = &self.frames[self.cur_thread];
         put_u64(&mut self.prologue, frames.len() as u64);
         for f in frames {
@@ -1039,17 +1014,6 @@ impl<W: Write> TraceWriter<W> {
         }
         self.prologue.push(u8::from(self.in_phase));
         put_u64(&mut self.prologue, self.push_count);
-    }
-
-    /// Latches an "unrepresentable in this format" error so `finish`
-    /// reports it; the sink hooks themselves stay infallible.
-    fn latch_unsupported(&mut self, what: &str) {
-        if self.io_error.is_none() {
-            self.io_error = Some(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("trace format v{} cannot record {what}", self.version),
-            ));
-        }
     }
 
     fn write_all(&mut self, bytes: &[u8]) {
@@ -1070,48 +1034,33 @@ impl<W: Write> TraceWriter<W> {
             self.started = true;
             let mut header = Vec::with_capacity(8);
             header.extend_from_slice(&TRACE_MAGIC);
-            put_u64(&mut header, self.version);
+            put_u64(&mut header, TRACE_VERSION);
             self.write_all(&header);
         }
-        if self.version == TRACE_VERSION_V1 {
-            // Legacy framing: no index, no length envelope, no checksum.
-            let mut framing = Vec::with_capacity(16);
-            framing.push(TAG_SEGMENT);
-            put_u64(&mut framing, self.prologue.len() as u64);
-            self.write_all(&framing);
-            let prologue = std::mem::take(&mut self.prologue);
-            self.write_all(&prologue);
-            let mut len = Vec::with_capacity(8);
-            put_u64(&mut len, self.seg.len() as u64);
-            self.write_all(&len);
-            let seg = std::mem::take(&mut self.seg);
-            self.write_all(&seg);
-        } else {
-            // v2 body: index, prologue-len, prologue, payload-len, payload;
-            // CRC over the body, streamed part by part to avoid a copy.
-            let mut head = Vec::with_capacity(16);
-            put_u64(&mut head, self.stats.segments);
-            put_u64(&mut head, self.prologue.len() as u64);
-            let mut mid = Vec::with_capacity(8);
-            put_u64(&mut mid, self.seg.len() as u64);
-            let body_len = head.len() + self.prologue.len() + mid.len() + self.seg.len();
-            let mut crc = Crc32::new();
-            crc.update(&head);
-            crc.update(&self.prologue);
-            crc.update(&mid);
-            crc.update(&self.seg);
-            let mut framing = Vec::with_capacity(16);
-            framing.push(TAG_SEGMENT);
-            put_u64(&mut framing, body_len as u64);
-            self.write_all(&framing);
-            self.write_all(&head);
-            let prologue = std::mem::take(&mut self.prologue);
-            self.write_all(&prologue);
-            self.write_all(&mid);
-            let seg = std::mem::take(&mut self.seg);
-            self.write_all(&seg);
-            self.write_all(&crc.finish().to_le_bytes());
-        }
+        // Body: index, prologue-len, prologue, payload-len, payload; CRC
+        // over the body, streamed part by part to avoid a copy.
+        let mut head = Vec::with_capacity(16);
+        put_u64(&mut head, self.stats.segments);
+        put_u64(&mut head, self.prologue.len() as u64);
+        let mut mid = Vec::with_capacity(8);
+        put_u64(&mut mid, self.seg.len() as u64);
+        let body_len = head.len() + self.prologue.len() + mid.len() + self.seg.len();
+        let mut crc = Crc32::new();
+        crc.update(&head);
+        crc.update(&self.prologue);
+        crc.update(&mid);
+        crc.update(&self.seg);
+        let mut framing = Vec::with_capacity(16);
+        framing.push(TAG_SEGMENT);
+        put_u64(&mut framing, body_len as u64);
+        self.write_all(&framing);
+        self.write_all(&head);
+        let prologue = std::mem::take(&mut self.prologue);
+        self.write_all(&prologue);
+        self.write_all(&mid);
+        let seg = std::mem::take(&mut self.seg);
+        self.write_all(&seg);
+        self.write_all(&crc.finish().to_le_bytes());
         self.stats.segments += 1;
         self.seg_records = 0;
         self.capture_prologue();
@@ -1124,28 +1073,18 @@ impl<W: Write> TraceWriter<W> {
         if !self.seg.is_empty() || self.stats.segments == 0 {
             self.flush_segment();
         }
-        if self.version == TRACE_VERSION_V1 {
-            let mut trailer = Vec::with_capacity(24);
-            trailer.push(TAG_TRAILER);
-            put_u64(&mut trailer, self.stats.events);
-            put_u64(&mut trailer, self.stats.instructions);
-            put_u64(&mut trailer, self.stats.objects_allocated);
-            put_u64(&mut trailer, self.stats.frame_pushes);
-            self.write_all(&trailer);
-        } else {
-            let mut body = Vec::with_capacity(40);
-            put_u64(&mut body, self.stats.events);
-            put_u64(&mut body, self.stats.instructions);
-            put_u64(&mut body, self.stats.objects_allocated);
-            put_u64(&mut body, self.stats.frame_pushes);
-            put_u64(&mut body, self.stats.segments);
-            let mut framing = Vec::with_capacity(8);
-            framing.push(TAG_TRAILER);
-            put_u64(&mut framing, body.len() as u64);
-            self.write_all(&framing);
-            self.write_all(&body);
-            self.write_all(&crc32(&body).to_le_bytes());
-        }
+        let mut body = Vec::with_capacity(40);
+        put_u64(&mut body, self.stats.events);
+        put_u64(&mut body, self.stats.instructions);
+        put_u64(&mut body, self.stats.objects_allocated);
+        put_u64(&mut body, self.stats.frame_pushes);
+        put_u64(&mut body, self.stats.segments);
+        let mut framing = Vec::with_capacity(8);
+        framing.push(TAG_TRAILER);
+        put_u64(&mut framing, body.len() as u64);
+        self.write_all(&framing);
+        self.write_all(&body);
+        self.write_all(&crc32(&body).to_le_bytes());
         if self.io_error.is_none() {
             if let Err(e) = self.out.flush() {
                 self.io_error = Some(e);
@@ -1163,10 +1102,6 @@ impl<W: Write> EventSink for TraceWriter<W> {
         match event {
             Event::Phase { begin, .. } => self.in_phase = *begin,
             Event::Alloc { .. } => self.stats.objects_allocated += 1,
-            Event::Spawn { .. } | Event::Join { .. } if self.version != TRACE_VERSION => {
-                self.latch_unsupported("thread events");
-                return;
-            }
             _ => {}
         }
         self.stats.events += 1;
@@ -1205,10 +1140,6 @@ impl<W: Write> EventSink for TraceWriter<W> {
     }
 
     fn thread(&mut self, tid: ThreadId) {
-        if self.version != TRACE_VERSION {
-            self.latch_unsupported("thread switches");
-            return;
-        }
         if tid.index() == self.cur_thread {
             return;
         }
@@ -2658,26 +2589,33 @@ mod tests {
         }
     }
 
+    /// The checked-in legacy fixtures, recorded from `samples/golden.lu`
+    /// at segment limit 64 by the v1 and v2 writers this crate once had.
+    const GOLDEN_V1: &[u8] = include_bytes!("../../../samples/golden_v1.trace");
+    const GOLDEN_V2: &[u8] = include_bytes!("../../../samples/golden_v2.trace");
+    const GOLDEN_SEGMENT_LIMIT: usize = 64;
+
+    fn golden_program() -> Program {
+        lowutil_ir::parse_program(include_str!("../../../samples/golden.lu"))
+            .expect("golden source parses")
+    }
+
     #[test]
     fn v1_traces_still_replay_through_the_v2_reader() {
-        let program = kitchen_sink_program();
-        let (v2, stats2, _) = record(&program, 8);
-        let writer = TraceWriter::with_format(Vec::new(), 8, TRACE_VERSION_V1);
-        let mut t = SinkTracer(writer);
-        Vm::new(&program).run(&mut t).expect("program runs");
-        let (v1, stats1) = t.0.finish().expect("in-memory write cannot fail");
-        assert!(v1.len() < v2.len(), "v1 lacks indices and checksums");
-        assert_eq!(stats1.segments, stats2.segments);
+        let program = golden_program();
+        let (v3, stats3, _) = record(&program, GOLDEN_SEGMENT_LIMIT);
+        assert!(GOLDEN_V1.len() < v3.len(), "v1 lacks indices and checksums");
 
-        let r1 = TraceReader::new(&v1).expect("v1 parses");
-        let r2 = TraceReader::new(&v2).expect("v2 parses");
+        let r1 = TraceReader::new(GOLDEN_V1).expect("v1 parses");
+        let r3 = TraceReader::new(&v3).expect("v3 parses");
         assert_eq!(r1.version(), TRACE_VERSION_V1);
-        assert_eq!(r2.version(), TRACE_VERSION);
-        assert_eq!(r1.trailer(), r2.trailer());
+        assert_eq!(r3.version(), TRACE_VERSION);
+        assert_eq!(r1.trailer(), r3.trailer());
         assert_eq!(r1.trailer().segments, r1.segments().len() as u64);
+        assert_eq!(stats3.segments, r1.segments().len() as u64);
         let (mut a, mut b) = (StreamLog::default(), StreamLog::default());
         r1.replay(&mut a).unwrap();
-        r2.replay(&mut b).unwrap();
+        r3.replay(&mut b).unwrap();
         assert_eq!(a.0, b.0, "identical stream across wire versions");
     }
 
@@ -2986,37 +2924,18 @@ method twice/1 {
         }
     }
 
-    /// v1 and v2 writers cannot represent thread switches: recording a
-    /// multithreaded execution through them latches an error that
-    /// `finish` reports, instead of silently mislabeling records.
-    #[test]
-    fn legacy_writers_refuse_multithreaded_runs() {
-        let program = fork_join_program();
-        for version in [TRACE_VERSION_V1, TRACE_VERSION_V2] {
-            let writer = TraceWriter::with_format(Vec::new(), DEFAULT_SEGMENT_LIMIT, version);
-            let mut t = SinkTracer(writer);
-            Vm::new(&program)
-                .run(&mut t)
-                .expect("the run itself is fine");
-            let err = t.0.finish().expect_err("legacy format must refuse");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "v{version}");
-        }
-    }
-
-    /// For single-threaded programs the v3 writer is v2 plus exactly one
-    /// zero thread-id varint per segment prologue (and the header
-    /// version): same segmentation, same payload bytes, same trailer.
+    /// For single-threaded programs a v3 recording is the v2 fixture plus
+    /// exactly one zero thread-id varint per segment prologue (and the
+    /// header version): same segmentation, same payload bytes, same
+    /// trailer.
     #[test]
     fn v3_single_thread_differs_from_v2_only_in_prologue_thread_ids() {
-        let program = kitchen_sink_program();
-        let (v3, stats3, _) = record(&program, 8);
-        let writer = TraceWriter::with_format(Vec::new(), 8, TRACE_VERSION_V2);
-        let mut t = SinkTracer(writer);
-        Vm::new(&program).run(&mut t).expect("program runs");
-        let (v2, stats2) = t.0.finish().expect("in-memory write cannot fail");
-        assert_eq!(stats3.segments, stats2.segments);
+        let program = golden_program();
+        let (v3, stats3, _) = record(&program, GOLDEN_SEGMENT_LIMIT);
         let r3 = TraceReader::new(&v3).expect("v3 parses");
-        let r2 = TraceReader::new(&v2).expect("v2 parses");
+        let r2 = TraceReader::new(GOLDEN_V2).expect("v2 parses");
+        assert_eq!(r2.version(), TRACE_VERSION_V2);
+        assert_eq!(stats3.segments, r2.segments().len() as u64);
         assert_eq!(r3.trailer(), r2.trailer());
         for (s3, s2) in r3.segments().iter().zip(r2.segments()) {
             assert_eq!(s3.payload(), s2.payload(), "payload bytes identical");
@@ -3122,21 +3041,18 @@ method twice/1 {
     /// arrive in a later feed call.
     #[test]
     fn streaming_reader_rejects_v1_and_trailing_bytes() {
-        let program = kitchen_sink_program();
-        let writer = TraceWriter::with_format(Vec::new(), 8, TRACE_VERSION_V1);
-        let mut t = SinkTracer(writer);
-        Vm::new(&program).run(&mut t).expect("program runs");
-        let (v1, _) = t.0.finish().unwrap();
         let mut r = StreamingReader::new();
         let mut log = StreamLog::default();
-        let err = r.feed(&v1, &mut log).expect_err("v1 must be rejected");
+        let err = r
+            .feed(GOLDEN_V1, &mut log)
+            .expect_err("v1 must be rejected");
         assert!(err.message.contains("framed"), "{}", err.message);
         assert!(log.0.is_empty());
         // Sticky: the same error comes back from every later call.
         assert!(r.feed(b"more", &mut log).is_err());
         assert!(r.finish().is_err());
 
-        let (bytes, ..) = record(&program, 8);
+        let (bytes, ..) = record(&golden_program(), GOLDEN_SEGMENT_LIMIT);
         let mut r = StreamingReader::new();
         let mut log = StreamLog::default();
         r.feed(&bytes, &mut log).expect("clean stream feeds");

@@ -52,13 +52,12 @@
 //! lowutil query <addr> <words...>    query a daemon (`<tenant> <program>
 //!                                    hash|stats|rank|report|diff ...`, or
 //!                                    the bare `stats` / `shutdown`)
-//! lowutil cache gc <dir> [--max-bytes N] [--max-age-secs N]
-//!                        [--tenants DIR] [--keep-latest N]
-//!                                    sweep a query-cache directory down
-//!                                    to its size/age budgets; with
-//!                                    --tenants also sweep per-tenant
-//!                                    snapshot dirs, always keeping each
-//!                                    tenant's newest N snapshots
+//! lowutil cache gc <tenants-dir> [--max-bytes N] [--max-age-secs N]
+//!                                [--keep-latest N]
+//!                                    sweep a daemon's per-tenant snapshot
+//!                                    dirs (`<data-dir>/tenants`) down to
+//!                                    size/age budgets, always keeping
+//!                                    each tenant's newest N snapshots
 //! lowutil diff <a.snap> <b.snap> [--min-imbalance X] [--worsen-factor X]
 //!                                    align structures across two snapshots
 //!                                    by (context, allocation-site) and
@@ -67,36 +66,30 @@
 //!                                    anything is new or worsened
 //! ```
 //!
-//! Ranking commands take `--cache DIR` to memoize rankings keyed by
-//! (graph content hash, engine, analysis params); a warm entry skips
-//! engine construction entirely and renders byte-identical output.
-//!
-//! Report-producing commands take `--analysis batch|reference` to select
-//! the cost-benefit engine (default `batch`; both emit identical bytes).
+//! Every ranking command ranks with the batch cost-benefit engine, built
+//! over a loaded snapshot's zero-copy CSR arrays where there is one.
 //!
 //! Execution commands take `--sched-seed N` to pick the deterministic
 //! guest-thread schedule. Race-free programs (every built-in workload)
 //! produce byte-identical reports and exports under every seed.
 
-use lowutil::analyses::batch::{BatchAnalyzer, EngineChoice, ReferenceEngine};
+use lowutil::analyses::batch::BatchAnalyzer;
 use lowutil::analyses::cache::cache_effectiveness;
 use lowutil::analyses::copy::{copy_chains, copy_profiler, copy_ratio};
 use lowutil::analyses::cost::CostBenefitConfig;
-use lowutil::analyses::dead::{dead_value_metrics, DeadValueMetrics};
+use lowutil::analyses::dead::dead_value_metrics;
 use lowutil::analyses::methods::{method_costs, CallGraphTracer};
-use lowutil::analyses::report::{
-    describe_field, describe_site, low_utility_report, low_utility_report_batch, render_report,
-};
+use lowutil::analyses::report::{describe_field, describe_site, render_report};
 use lowutil::analyses::{
-    diff_rankings, gc_snapshots, rank_structures_batch, rank_structures_with, ranked_keys,
-    CacheKey, DiffConfig, QueryCache, StructureCostBenefit,
+    diff_rankings, rank_structures_batch, rank_structures_with, ranked_keys, DiffConfig,
+    StructureCostBenefit,
 };
 use lowutil::core::{
     content_hash, read_snapshot, save_snapshot, AlignedBuf, CostGraph, CostGraphConfig,
     CostProfiler, CsrGraph,
 };
 use lowutil::ir::{display_program, parse_program, Program};
-use lowutil::serve::{ServeConfig, Server};
+use lowutil::serve::{gc_snapshots, ServeConfig, Server};
 use lowutil::vm::{NullTracer, RunConfig, SinkTracer, TraceReader, TraceWriter, Vm};
 use lowutil::workloads::{workload, WorkloadSize, NAMES};
 use std::process::ExitCode;
@@ -106,7 +99,7 @@ fn usage() -> ExitCode {
         "usage: lowutil <run|report|dead|copies|methods|caches|alloc|disasm|export|dot|suite|record|replay|snapshot|diff|serve|push|query|cache> <file.lu|name|all> [trace|snap] [flags]"
     );
     eprintln!(
-        "flags: --top N   --slots S   --control   --traditional   --size small|default|large   --jobs N   --analysis batch|reference   --salvage   --segment-limit N   --sched-seed N   --cache DIR   --min-imbalance X   --worsen-factor X   --fail-on-regression   --listen ADDR   --spool DIR   --programs DIR   --unix PATH   --idle-secs N   --max-bytes N   --max-age-secs N   --tenants DIR   --keep-latest N"
+        "flags: --top N   --slots S   --control   --traditional   --size small|default|large   --jobs N   --salvage   --segment-limit N   --sched-seed N   --min-imbalance X   --worsen-factor X   --fail-on-regression   --listen ADDR   --spool DIR   --programs DIR   --unix PATH   --idle-secs N   --max-bytes N   --max-age-secs N   --keep-latest N"
     );
     ExitCode::from(2)
 }
@@ -118,13 +111,10 @@ struct Flags {
     traditional: bool,
     size: WorkloadSize,
     jobs: usize,
-    analysis: EngineChoice,
     salvage: bool,
     segment_limit: Option<usize>,
     /// Seed for the deterministic guest-thread scheduler.
     sched_seed: u64,
-    /// Directory for the content-hash query cache (`--cache DIR`).
-    cache: Option<String>,
     /// `diff`: imbalance floor below which structures are noise.
     min_imbalance: f64,
     /// `diff`: growth factor for the WORSENED classification.
@@ -141,12 +131,10 @@ struct Flags {
     unix: Option<String>,
     /// `serve`: session idle-eviction timeout (`--idle-secs N`).
     idle_secs: Option<u64>,
-    /// `cache gc` / `serve`: query-cache size budget (`--max-bytes N`).
+    /// `cache gc`: snapshot size budget (`--max-bytes N`).
     max_bytes: Option<u64>,
-    /// `cache gc` / `serve`: query-cache age budget (`--max-age-secs N`).
+    /// `cache gc`: snapshot age budget (`--max-age-secs N`).
     max_age_secs: Option<u64>,
-    /// `cache gc`: per-tenant snapshot root to sweep (`--tenants DIR`).
-    tenants: Option<String>,
     /// `cache gc`: per-tenant newest-snapshot floor (`--keep-latest N`).
     keep_latest: usize,
 }
@@ -171,11 +159,9 @@ fn parse_flags(args: &[String]) -> Flags {
         traditional: false,
         size: WorkloadSize::Default,
         jobs: lowutil::par::default_jobs(),
-        analysis: EngineChoice::default(),
         salvage: false,
         segment_limit: None,
         sched_seed: 0,
-        cache: None,
         min_imbalance: diff_defaults.min_imbalance,
         worsen_factor: diff_defaults.worsen_factor,
         fail_on_regression: false,
@@ -186,7 +172,6 @@ fn parse_flags(args: &[String]) -> Flags {
         idle_secs: None,
         max_bytes: None,
         max_age_secs: None,
-        tenants: None,
         keep_latest: 1,
     };
     let mut it = args.iter().peekable();
@@ -216,16 +201,6 @@ fn parse_flags(args: &[String]) -> Flags {
                     eprintln!("--jobs needs a number; keeping {}", f.jobs);
                 }
             }
-            "--analysis" => {
-                if let Some(v) = take_value(&mut it).and_then(EngineChoice::parse) {
-                    f.analysis = v;
-                } else {
-                    eprintln!(
-                        "--analysis needs batch|reference; keeping {}",
-                        f.analysis.name()
-                    );
-                }
-            }
             "--segment-limit" => {
                 if let Some(v) = take_value(&mut it).and_then(|s| s.parse::<usize>().ok()) {
                     // A 0-record segment cannot hold its own prologue.
@@ -239,13 +214,6 @@ fn parse_flags(args: &[String]) -> Flags {
                     f.sched_seed = v;
                 } else {
                     eprintln!("--sched-seed needs a number; keeping {}", f.sched_seed);
-                }
-            }
-            "--cache" => {
-                if let Some(v) = take_value(&mut it) {
-                    f.cache = Some(v.to_string());
-                } else {
-                    eprintln!("--cache needs a directory; caching stays off");
                 }
             }
             "--listen" => {
@@ -295,13 +263,6 @@ fn parse_flags(args: &[String]) -> Flags {
                     f.max_age_secs = Some(v);
                 } else {
                     eprintln!("--max-age-secs needs a number; age budget stays off");
-                }
-            }
-            "--tenants" => {
-                if let Some(v) = take_value(&mut it) {
-                    f.tenants = Some(v.to_string());
-                } else {
-                    eprintln!("--tenants needs a directory; snapshot sweep stays off");
                 }
             }
             "--keep-latest" => {
@@ -391,70 +352,21 @@ fn profile(
     Ok((prof.finish(), out))
 }
 
-/// Renders the low-utility report with the engine selected by
-/// `--analysis`. The two engines emit byte-identical reports; the flag
-/// exists so the per-seed reference stays reachable as an oracle.
-/// With `--cache DIR` the ranking goes through [`ranked_with_cache`]
-/// instead, still byte-identical.
-fn engine_report(
-    program: &Program,
-    gcost: &CostGraph,
-    flags: &Flags,
-    dead: &DeadValueMetrics,
-) -> String {
-    if flags.cache.is_some() {
-        let ranked = ranked_with_cache(gcost, None, content_hash(gcost), flags);
-        return render_report(program, &ranked, flags.top, Some(dead));
-    }
+/// Ranks `gcost` with the batch engine, built over `csr` — a loaded
+/// snapshot's zero-copy arrays — when one is given instead of
+/// re-deriving the arrays from `gcost`.
+fn rank(gcost: &CostGraph, csr: Option<&CsrGraph<'_>>, jobs: usize) -> Vec<StructureCostBenefit> {
     let config = CostBenefitConfig::default();
-    match flags.analysis {
-        EngineChoice::Batch => {
-            low_utility_report_batch(program, gcost, &config, flags.top, Some(dead), flags.jobs)
-        }
-        EngineChoice::Reference => {
-            low_utility_report(program, gcost, &config, flags.top, Some(dead))
-        }
+    match csr {
+        // Cheap clone: borrowed Cow arrays stay borrowed.
+        Some(csr) => rank_structures_with(
+            gcost,
+            &config,
+            &BatchAnalyzer::with_csr(csr.clone(), jobs),
+            jobs,
+        ),
+        None => rank_structures_batch(gcost, &config, jobs),
     }
-}
-
-/// Ranks `gcost` through the `--cache` directory when one was given: a
-/// warm entry skips engine construction and every traversal, a miss
-/// computes and memoizes. When `csr` is supplied (snapshot loads), the
-/// batch engine is built directly over the zero-copy arrays instead of
-/// re-deriving them from `gcost`.
-fn ranked_with_cache(
-    gcost: &CostGraph,
-    csr: Option<&CsrGraph<'_>>,
-    hash: u64,
-    flags: &Flags,
-) -> Vec<StructureCostBenefit> {
-    let config = CostBenefitConfig::default();
-    let cache = flags.cache.as_deref().map(QueryCache::new);
-    let key = CacheKey::new(hash, flags.analysis, &config);
-    if let Some(c) = &cache {
-        if let Some(hit) = c.load(&key) {
-            eprintln!("-- query cache hit ({:016x})", key.content_hash);
-            return hit;
-        }
-    }
-    let ranked = match (flags.analysis, csr) {
-        (EngineChoice::Batch, Some(csr)) => {
-            // Cheap clone: borrowed Cow arrays stay borrowed.
-            let engine = BatchAnalyzer::with_csr(csr.clone(), flags.jobs);
-            rank_structures_with(gcost, &config, &engine, flags.jobs)
-        }
-        (EngineChoice::Batch, None) => rank_structures_batch(gcost, &config, flags.jobs),
-        (EngineChoice::Reference, _) => {
-            rank_structures_with(gcost, &config, &ReferenceEngine::new(gcost), 1)
-        }
-    };
-    if let Some(c) = &cache {
-        // A failed store only costs future misses; the report proceeds.
-        if let Err(e) = c.store(&key, &ranked) {
-            eprintln!("-- query cache store failed: {e}");
-        }
-    }
-    ranked
 }
 
 fn main() -> ExitCode {
@@ -502,7 +414,8 @@ fn main() -> ExitCode {
                 let p = load(target)?;
                 let (g, out) = profile(&p, &flags)?;
                 let dead = dead_value_metrics(&g, out.instructions_executed);
-                print!("{}", engine_report(&p, &g, &flags, &dead));
+                let ranked = rank(&g, None, flags.jobs);
+                print!("{}", render_report(&p, &ranked, flags.top, Some(&dead)));
                 Ok(())
             }
             "dead" => {
@@ -611,19 +524,8 @@ fn main() -> ExitCode {
                 let (g, _) = profile(&p, &flags)?;
                 let config = CostBenefitConfig::default();
                 println!("--- cost-benefit cross-reference ---");
-                let cross = match flags.analysis {
-                    EngineChoice::Batch => stale.cost_report(
-                        &p,
-                        &g,
-                        &config,
-                        &BatchAnalyzer::new(&g, flags.jobs),
-                        flags.top,
-                    ),
-                    EngineChoice::Reference => {
-                        stale.cost_report(&p, &g, &config, &ReferenceEngine::new(&g), flags.top)
-                    }
-                };
-                print!("{cross}");
+                let engine = BatchAnalyzer::new(&g, flags.jobs);
+                print!("{}", stale.cost_report(&p, &g, &config, &engine, flags.top));
                 Ok(())
             }
             "alloc" => {
@@ -744,7 +646,8 @@ fn main() -> ExitCode {
                     (g, reader.trailer().instructions)
                 };
                 let dead = dead_value_metrics(&g, instructions);
-                print!("{}", engine_report(&p, &g, &flags, &dead));
+                let ranked = rank(&g, None, flags.jobs);
+                print!("{}", render_report(&p, &ranked, flags.top, Some(&dead)));
                 Ok(())
             }
             "suite" => {
@@ -780,7 +683,11 @@ fn main() -> ExitCode {
                 println!("{}: {}", w.name, w.description);
                 let (g, out) = profile(&w.program, &flags)?;
                 let dead = dead_value_metrics(&g, out.instructions_executed);
-                print!("{}", engine_report(&w.program, &g, &flags, &dead));
+                let ranked = rank(&g, None, flags.jobs);
+                print!(
+                    "{}",
+                    render_report(&w.program, &ranked, flags.top, Some(&dead))
+                );
                 Ok(())
             }
             "snapshot" => match target {
@@ -818,8 +725,7 @@ fn main() -> ExitCode {
                     // a CostGraph is still materialized — but the engine
                     // runs over the snapshot's zero-copy CSR arrays.
                     let gcost = snap.to_cost_graph();
-                    let ranked =
-                        ranked_with_cache(&gcost, Some(snap.csr()), snap.content_hash(), &flags);
+                    let ranked = rank(&gcost, Some(snap.csr()), flags.jobs);
                     let dead = dead_value_metrics(&gcost, snap.total_instructions());
                     print!("{}", render_report(&p, &ranked, flags.top, Some(&dead)));
                     Ok(())
@@ -895,8 +801,6 @@ fn main() -> ExitCode {
                         ..CostGraphConfig::default()
                     },
                     idle_timeout: std::time::Duration::from_secs(flags.idle_secs.unwrap_or(30)),
-                    cache_max_bytes: flags.max_bytes.or(Some(256 << 20)),
-                    cache_max_age: flags.max_age_secs.map(std::time::Duration::from_secs),
                     ..ServeConfig::default()
                 };
                 let handle = Server::start(cfg).map_err(|e| format!("serve: {e}"))?;
@@ -949,30 +853,20 @@ fn main() -> ExitCode {
                 if target != "gc" {
                     return Err(format!("cache needs gc, not `{target}`"));
                 }
-                let dir = args.get(2).ok_or("cache gc needs <dir>".to_string())?;
-                let stats = QueryCache::new(dir.as_str())
-                    .gc(
-                        flags.max_bytes,
-                        flags.max_age_secs.map(std::time::Duration::from_secs),
-                    )
-                    .map_err(|e| format!("cache gc {dir}: {e}"))?;
+                let dir = args
+                    .get(2)
+                    .ok_or("cache gc needs <tenants-dir>".to_string())?;
+                let s = gc_snapshots(
+                    std::path::Path::new(dir),
+                    flags.max_bytes,
+                    flags.max_age_secs.map(std::time::Duration::from_secs),
+                    flags.keep_latest,
+                )
+                .map_err(|e| format!("cache gc {dir}: {e}"))?;
                 println!(
                     "scanned {}  removed {}  bytes_removed {}  bytes_kept {}",
-                    stats.scanned, stats.removed, stats.bytes_removed, stats.bytes_kept
+                    s.scanned, s.removed, s.bytes_removed, s.bytes_kept
                 );
-                if let Some(tenants) = &flags.tenants {
-                    let s = gc_snapshots(
-                        std::path::Path::new(tenants),
-                        flags.max_bytes,
-                        flags.max_age_secs.map(std::time::Duration::from_secs),
-                        flags.keep_latest,
-                    )
-                    .map_err(|e| format!("cache gc --tenants {tenants}: {e}"))?;
-                    println!(
-                        "tenants scanned {}  removed {}  bytes_removed {}  bytes_kept {}",
-                        s.scanned, s.removed, s.bytes_removed, s.bytes_kept
-                    );
-                }
                 Ok(())
             }
             "diff" => {
@@ -986,12 +880,7 @@ fn main() -> ExitCode {
                             .map_err(|e| format!("cannot read {path}: {e}"))?;
                         let snap = read_snapshot(&buf).map_err(|e| format!("{path}: {e}"))?;
                         let gcost = snap.to_cost_graph();
-                        let ranked = ranked_with_cache(
-                            &gcost,
-                            Some(snap.csr()),
-                            snap.content_hash(),
-                            &flags,
-                        );
+                        let ranked = rank(&gcost, Some(snap.csr()), flags.jobs);
                         Ok(ranked_keys(&gcost, &ranked))
                     };
                 let ka = keys_of(a_path)?;
@@ -1056,21 +945,6 @@ mod tests {
     }
 
     #[test]
-    fn analysis_flag_selects_engine() {
-        let f = flags_of(&["--analysis", "reference"]);
-        assert_eq!(f.analysis, EngineChoice::Reference);
-        let f = flags_of(&["--analysis", "batch"]);
-        assert_eq!(f.analysis, EngineChoice::Batch);
-        // Bad or missing values keep the default without swallowing the
-        // next flag.
-        let f = flags_of(&["--analysis", "fast"]);
-        assert_eq!(f.analysis, EngineChoice::Batch);
-        let f = flags_of(&["--analysis", "--control"]);
-        assert_eq!(f.analysis, EngineChoice::Batch);
-        assert!(f.control);
-    }
-
-    #[test]
     fn salvage_flag_parses_and_composes() {
         let f = flags_of(&["--salvage"]);
         assert!(f.salvage);
@@ -1128,18 +1002,6 @@ mod tests {
     }
 
     #[test]
-    fn cache_flag_parses() {
-        let f = flags_of(&["--cache", "/tmp/qc"]);
-        assert_eq!(f.cache.as_deref(), Some("/tmp/qc"));
-        let f = flags_of(&[]);
-        assert_eq!(f.cache, None);
-        // Missing value keeps caching off without swallowing the next flag.
-        let f = flags_of(&["--cache", "--salvage"]);
-        assert_eq!(f.cache, None);
-        assert!(f.salvage);
-    }
-
-    #[test]
     fn min_imbalance_flag_parses() {
         let f = flags_of(&["--min-imbalance", "2.5"]);
         assert_eq!(f.min_imbalance, 2.5);
@@ -1178,8 +1040,8 @@ mod tests {
         let f = flags_of(&[]);
         assert!(!f.fail_on_regression);
         // A value flag with a missing value must not swallow it.
-        let f = flags_of(&["--cache", "--fail-on-regression"]);
-        assert_eq!(f.cache, None);
+        let f = flags_of(&["--listen", "--fail-on-regression"]);
+        assert_eq!(f.listen, None);
         assert!(f.fail_on_regression);
     }
 

@@ -46,13 +46,17 @@
 //! sequential merge of the same sessions.
 //!
 //! Queries (`report` / `rank` / `diff` / `hash` / `stats`) run against a
-//! point-in-time copy of the aggregate while ingestion continues, and
-//! warm rankings are served from the content-hash [`QueryCache`].
+//! point-in-time copy of the aggregate while ingestion continues. Each
+//! aggregate generation is ranked at most once: the ranking is memoised
+//! in memory beside the generation's materialised graph and dropped by
+//! the next absorb.
+//!
+//! The daemon never deletes persisted snapshots; `lowutil cache gc`
+//! sweeps them offline through [`gc_snapshots`].
 
 use crate::analyses::{
-    dead_value_metrics, diff_rankings, gc_snapshots, rank_structures_with, ranked_keys,
-    render_report, CacheKey, CostBenefitConfig, DiffConfig, EngineChoice, IncrementalAnalyzer,
-    QueryCache, StructureCostBenefit,
+    dead_value_metrics, diff_rankings, rank_structures_with, ranked_keys, render_report,
+    CostBenefitConfig, DiffConfig, IncrementalAnalyzer, StructureCostBenefit,
 };
 use crate::core::{
     read_snapshot, Aggregate, AlignedBuf, CostGraph, CostGraphConfig, GraphBuilder, IncrementalCsr,
@@ -67,15 +71,15 @@ use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 /// How the daemon listens, ingests, and bounds sessions.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Root of persistent state: `tenants/<tenant>/<program>.snap`
-    /// aggregate snapshots plus the `qcache/` query cache.
+    /// aggregate snapshots.
     pub data_dir: PathBuf,
     /// TCP listen address; port 0 auto-assigns (printed by the CLI).
     pub listen: String,
@@ -99,20 +103,6 @@ pub struct ServeConfig {
     pub max_session_bytes: u64,
     /// Evict a session that sends nothing for this long.
     pub idle_timeout: Duration,
-    /// Query-cache size budget swept at startup (`None` = unbounded).
-    pub cache_max_bytes: Option<u64>,
-    /// Query-cache age budget swept at startup (`None` = unbounded).
-    pub cache_max_age: Option<Duration>,
-    /// Tenant-snapshot size budget swept at startup (`None` =
-    /// unbounded); see [`gc_snapshots`].
-    pub snap_max_bytes: Option<u64>,
-    /// Tenant-snapshot age budget swept at startup (`None` =
-    /// unbounded).
-    pub snap_max_age: Option<Duration>,
-    /// Per-tenant newest-snapshot floor for the startup sweep: each
-    /// tenant's `snap_keep_latest` most recent snapshots are exempt
-    /// from both budgets (clamped to at least 1).
-    pub snap_keep_latest: usize,
 }
 
 impl Default for ServeConfig {
@@ -129,11 +119,6 @@ impl Default for ServeConfig {
             record_limit: DEFAULT_STREAM_RECORD_LIMIT,
             max_session_bytes: 1 << 30,
             idle_timeout: Duration::from_secs(30),
-            cache_max_bytes: Some(256 << 20),
-            cache_max_age: None,
-            snap_max_bytes: None,
-            snap_max_age: None,
-            snap_keep_latest: 1,
         }
     }
 }
@@ -163,10 +148,18 @@ struct Tenant {
 struct Live {
     inc: Arc<IncrementalCsr>,
     rank: Arc<IncrementalAnalyzer>,
-    /// A materialized [`CostGraph`] of the current generation, built on
-    /// the first ranked query after an absorb and shared by every warm
-    /// query until the next absorb invalidates it.
-    view: Option<Arc<CostGraph>>,
+    /// The current generation's materialized view, built on the first
+    /// ranked query after an absorb and shared by every later query
+    /// until the next absorb drops it.
+    view: Option<Arc<View>>,
+}
+
+/// One aggregate generation as ranked queries see it: the materialized
+/// [`CostGraph`] plus its ranking, computed by the first query that
+/// needs it — outside the tenant lock — and shared by every later one.
+struct View {
+    graph: CostGraph,
+    ranked: OnceLock<Vec<StructureCostBenefit>>,
 }
 
 impl Tenant {
@@ -288,10 +281,6 @@ impl State {
             .join(format!("{program}.snap"))
     }
 
-    fn query_cache(&self) -> QueryCache {
-        QueryCache::new(self.cfg.data_dir.join("qcache"))
-    }
-
     /// Resolves a program name: `<programs_dir>/<name>.lu` first, then
     /// the built-in workloads (`name` or `name@small|default|large`).
     fn resolve_program(&self, name: &str) -> Result<Arc<Program>, String> {
@@ -376,9 +365,9 @@ impl Handle {
 pub struct Server;
 
 impl Server {
-    /// Starts the daemon: restores persisted tenant aggregates from
-    /// `data_dir`, sweeps the query cache to its budgets, binds the
-    /// listeners, and spawns the accept/spool threads.
+    /// Starts the daemon: binds the listeners, restores persisted
+    /// tenant aggregates from `data_dir`, and spawns the accept/spool
+    /// threads.
     ///
     /// # Errors
     /// Fails when the data directory or a listener cannot be set up.
@@ -409,19 +398,7 @@ impl Server {
             absorbed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
         });
-        // Sweep snapshots before restoring: an over-budget or expired
-        // snapshot should not be loaded just to be eligible for the
-        // next sweep.
-        let _ = gc_snapshots(
-            &state.cfg.data_dir.join("tenants"),
-            state.cfg.snap_max_bytes,
-            state.cfg.snap_max_age,
-            state.cfg.snap_keep_latest,
-        );
         restore_tenants(&state);
-        let _ = state
-            .query_cache()
-            .gc(state.cfg.cache_max_bytes, state.cfg.cache_max_age);
 
         let mut threads = Vec::new();
         {
@@ -878,6 +855,119 @@ fn persist_live(
 }
 
 // ---------------------------------------------------------------------------
+// Snapshot sweep
+// ---------------------------------------------------------------------------
+
+/// What one [`gc_snapshots`] sweep did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GcStats {
+    /// `.snap` files examined.
+    pub scanned: u64,
+    /// Files deleted (expired plus evicted-for-size).
+    pub removed: u64,
+    /// Bytes freed by the removals.
+    pub bytes_removed: u64,
+    /// Bytes remaining in kept files.
+    pub bytes_kept: u64,
+}
+
+/// Sweeps the daemon's per-tenant snapshot directories
+/// (`<root>/<tenant>/*.snap`, where `root` is `<data-dir>/tenants`)
+/// down to the given size/age budgets. The newest `keep_latest`
+/// snapshots of every tenant are exempt from both budgets, so an active
+/// tenant never loses its most recent state; `keep_latest` is clamped
+/// to at least 1. The daemon keeps one snapshot per program, so the
+/// floor counts a tenant's most recently written programs.
+///
+/// Age expiry runs first over the unprotected files. Then, while the
+/// total (protected files included) exceeds `max_bytes`, unprotected
+/// survivors are evicted oldest-first across all tenants, ties broken
+/// by path. Kept files are untouched, so a daemon restart restores
+/// exactly the bytes it persisted. A missing root is an empty store,
+/// not an error; non-`.snap` files and stray non-directories are
+/// ignored.
+///
+/// # Errors
+/// Propagates I/O errors other than the root not existing.
+pub fn gc_snapshots(
+    root: &Path,
+    max_bytes: Option<u64>,
+    max_age: Option<Duration>,
+    keep_latest: usize,
+) -> io::Result<GcStats> {
+    let keep_latest = keep_latest.max(1);
+    let mut stats = GcStats::default();
+    let tenants = match fs::read_dir(root) {
+        Ok(it) => it,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(stats),
+        Err(e) => return Err(e),
+    };
+    let now = SystemTime::now();
+    let mut protected_bytes: u64 = 0;
+    // Unprotected candidates across all tenants: (mtime, len, path).
+    let mut pool: Vec<(SystemTime, u64, PathBuf)> = Vec::new();
+    for tenant in tenants {
+        let tenant = tenant?;
+        if !tenant.file_type()?.is_dir() {
+            continue;
+        }
+        let mut snaps: Vec<(SystemTime, u64, PathBuf)> = Vec::new();
+        for entry in fs::read_dir(tenant.path())? {
+            let entry = entry?;
+            let path = entry.path();
+            if path.extension().is_none_or(|e| e != "snap") {
+                continue;
+            }
+            stats.scanned += 1;
+            let meta = entry.metadata().ok();
+            let mtime = meta
+                .as_ref()
+                .and_then(|m| m.modified().ok())
+                .unwrap_or(SystemTime::UNIX_EPOCH);
+            snaps.push((mtime, meta.map_or(0, |m| m.len()), path));
+        }
+        // Newest first; ties broken by path so the protected set is
+        // deterministic within one timestamp granule.
+        snaps.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| b.2.cmp(&a.2)));
+        for (i, snap) in snaps.into_iter().enumerate() {
+            if i < keep_latest {
+                protected_bytes += snap.1;
+            } else {
+                pool.push(snap);
+            }
+        }
+    }
+    let mut pool_bytes: u64 = 0;
+    let mut live: Vec<(SystemTime, u64, PathBuf)> = Vec::new();
+    for (mtime, len, path) in pool {
+        let expired = max_age.is_some_and(|age| now.duration_since(mtime).is_ok_and(|d| d > age));
+        if expired {
+            fs::remove_file(&path)?;
+            stats.removed += 1;
+            stats.bytes_removed += len;
+        } else {
+            pool_bytes += len;
+            live.push((mtime, len, path));
+        }
+    }
+    if let Some(budget) = max_bytes {
+        live.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.2.cmp(&b.2)));
+        let mut victims = live.iter();
+        while protected_bytes + pool_bytes > budget {
+            let Some((_, len, path)) = victims.next() else {
+                break;
+            };
+            fs::remove_file(path)?;
+            stats.removed += 1;
+            stats.bytes_removed += len;
+            pool_bytes -= len;
+        }
+    }
+    stats.bytes_kept = protected_bytes + pool_bytes;
+    Ok(stats)
+}
+
+// ---------------------------------------------------------------------------
 // Spool ingestion
 // ---------------------------------------------------------------------------
 
@@ -948,8 +1038,9 @@ fn spool_scan(state: &Arc<State>) {
 /// Serves `query <tenant> <program> hash|stats|rank|report|diff …`
 /// against the live incremental view. `hash`/`stats` answer from the
 /// view's maintained scalars without touching the graph; ranked queries
-/// route through the content-hash query cache and — on a miss — rank
-/// with the carried per-seed analysis state instead of a fresh engine.
+/// share the generation's memoised ranking, which the first of them
+/// computes with the carried per-seed analysis state instead of a fresh
+/// engine.
 fn run_query(state: &Arc<State>, toks: &[&str]) -> Result<String, String> {
     let (&tenant, &program, op) = match toks {
         [t, p, rest @ ..] if !rest.is_empty() => (t, p, rest),
@@ -975,7 +1066,7 @@ fn run_query(state: &Arc<State>, toks: &[&str]) -> Result<String, String> {
                 _ => 10,
             };
             let q = live_view(state, tenant, program)?;
-            let ranked = ranked_cached(state, &q);
+            let ranked = q.ranked();
             let mut out = String::new();
             for s in ranked.iter().take(top) {
                 let _ = writeln!(
@@ -1000,17 +1091,16 @@ fn run_query(state: &Arc<State>, toks: &[&str]) -> Result<String, String> {
             };
             let prog = state.resolve_program(program)?;
             let q = live_view(state, tenant, program)?;
-            let ranked = ranked_cached(state, &q);
-            let dead = dead_value_metrics(&q.view, q.total);
-            let mut out = render_report(&prog, &ranked, top, Some(&dead));
+            let dead = dead_value_metrics(&q.view.graph, q.total);
+            let mut out = render_report(&prog, q.ranked(), top, Some(&dead));
             out.push_str("end\n");
             Ok(out)
         }
         ["diff", other_tenant, other_program] => {
             let qa = live_view(state, tenant, program)?;
             let qb = live_view(state, other_tenant, other_program)?;
-            let ka = ranked_keys(&qa.view, &ranked_cached(state, &qa));
-            let kb = ranked_keys(&qb.view, &ranked_cached(state, &qb));
+            let ka = ranked_keys(&qa.view.graph, qa.ranked());
+            let kb = ranked_keys(&qb.view.graph, qb.ranked());
             let report = diff_rankings(&ka, &kb, &DiffConfig::default());
             let mut out = report.render();
             let _ = writeln!(
@@ -1055,17 +1145,28 @@ fn live_scalars(state: &Arc<State>, tenant: &str, program: &str) -> Result<LiveS
     })
 }
 
-/// Shared handles for one ranked query: the materialized graph of the
-/// current generation plus the live CSR and analysis state. Taken under
+/// Shared handles for one ranked query: the current generation's view
+/// plus the live CSR and analysis state it is ranked with. Taken under
 /// the tenant lock in O(1) once the generation's view exists — ranking
 /// then runs outside the lock, so ingestion never blocks behind an
 /// engine run.
 struct LiveQuery {
-    view: Arc<CostGraph>,
+    view: Arc<View>,
     inc: Arc<IncrementalCsr>,
     rank: Arc<IncrementalAnalyzer>,
-    hash: u64,
     total: u64,
+}
+
+impl LiveQuery {
+    /// The generation's ranking: computed by the first caller, shared
+    /// by every later one. The incremental engine answers
+    /// byte-identically to a cold batch engine (`tests/incremental.rs`).
+    fn ranked(&self) -> &[StructureCostBenefit] {
+        self.view.ranked.get_or_init(|| {
+            let engine = self.rank.engine(&self.inc);
+            rank_structures_with(&self.view.graph, &CostBenefitConfig::default(), &engine, 1)
+        })
+    }
 }
 
 fn live_view(state: &Arc<State>, tenant: &str, program: &str) -> Result<LiveQuery, String> {
@@ -1080,40 +1181,25 @@ fn live_view(state: &Arc<State>, tenant: &str, program: &str) -> Result<LiveQuer
     // Materialize once per generation: the first ranked query after an
     // absorb pays `to_cost_graph`, every later one shares the Arc.
     if t.ensure_live().view.is_none() {
-        let merged = Arc::new(t.agg.to_cost_graph());
+        let graph = t.agg.to_cost_graph();
         let live = t.ensure_live();
         debug_assert_eq!(
-            merged.graph().num_nodes(),
+            graph.graph().num_nodes(),
             live.inc.num_nodes(),
             "canonical interning and the live view must agree on node ids"
         );
-        live.view = Some(merged);
+        live.view = Some(Arc::new(View {
+            graph,
+            ranked: OnceLock::new(),
+        }));
     }
     let live = t.ensure_live();
     Ok(LiveQuery {
         view: live.view.clone().expect("just materialized"),
         inc: live.inc.clone(),
         rank: live.rank.clone(),
-        hash: live.inc.content_hash(),
         total,
     })
-}
-
-fn ranked_cached(state: &Arc<State>, q: &LiveQuery) -> Vec<StructureCostBenefit> {
-    let config = CostBenefitConfig::default();
-    let cache = state.query_cache();
-    // Keyed as `Batch`: the incremental engine answers byte-identically
-    // to a cold batch engine (enforced by tests/incremental.rs), so
-    // entries stay interchangeable with offline `rank` runs.
-    let key = CacheKey::new(q.hash, EngineChoice::Batch, &config);
-    if let Some(hit) = cache.load(&key) {
-        return hit;
-    }
-    let ranked = rank_structures_with(&q.view, &config, &q.rank.engine(&q.inc), 1);
-    if let Err(e) = cache.store(&key, &ranked) {
-        eprintln!("-- serve: query cache store failed: {e}");
-    }
-    ranked
 }
 
 // ---------------------------------------------------------------------------
@@ -1165,4 +1251,149 @@ pub fn spool_paths(spool: &Path, tenant: &str, program: &str, id: &str) -> (Path
         dir.join(format!("{id}.trace")),
         dir.join(format!("{id}.resp")),
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tmpdir(tag: &str) -> PathBuf {
+        let d = std::env::temp_dir().join(format!("lowutil-snapgc-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&d);
+        d
+    }
+
+    fn ago(secs: u64) -> SystemTime {
+        SystemTime::now() - Duration::from_secs(secs)
+    }
+
+    /// Writes `len` bytes at `root/<tenant>/<name>` with the given mtime.
+    fn put(root: &Path, tenant: &str, name: &str, len: usize, mtime: SystemTime) -> PathBuf {
+        let dir = root.join(tenant);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        fs::write(&path, vec![0u8; len]).unwrap();
+        fs::File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(mtime)
+            .unwrap();
+        path
+    }
+
+    #[test]
+    fn missing_root_is_an_empty_sweep() {
+        let root = tmpdir("missing");
+        let stats = gc_snapshots(&root, Some(0), Some(Duration::ZERO), 1).unwrap();
+        assert_eq!(stats, GcStats::default());
+    }
+
+    #[test]
+    fn each_tenants_newest_snapshots_survive_a_zero_budget() {
+        let root = tmpdir("floor");
+        let mut kept = Vec::new();
+        let mut gone = Vec::new();
+        for tenant in ["acme", "zeta"] {
+            gone.push(put(&root, tenant, "old.snap", 10, ago(3000)));
+            kept.push(put(&root, tenant, "mid.snap", 20, ago(2000)));
+            kept.push(put(&root, tenant, "new.snap", 30, ago(1000)));
+        }
+        let stats = gc_snapshots(&root, Some(0), None, 2).unwrap();
+        assert_eq!(
+            stats,
+            GcStats {
+                scanned: 6,
+                removed: 2,
+                bytes_removed: 20,
+                bytes_kept: 100,
+            }
+        );
+        assert!(kept.iter().all(|p| p.exists()));
+        assert!(gone.iter().all(|p| !p.exists()));
+        // A floor of 0 is clamped to 1: only each newest file remains.
+        let stats = gc_snapshots(&root, Some(0), None, 0).unwrap();
+        assert_eq!((stats.scanned, stats.removed, stats.bytes_kept), (4, 2, 60));
+        assert!(root.join("acme/new.snap").exists() && root.join("zeta/new.snap").exists());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn age_expiry_runs_before_the_size_sweep() {
+        let root = tmpdir("age");
+        let newest = put(&root, "acme", "a.snap", 100, ago(10));
+        let fresh = put(&root, "acme", "b.snap", 100, ago(20));
+        let expired = put(&root, "acme", "c.snap", 100, ago(5000));
+        // Once the expired file is gone the other two fit the budget, so
+        // the size sweep must not evict the fresh one too.
+        let stats = gc_snapshots(&root, Some(200), Some(Duration::from_secs(1000)), 1).unwrap();
+        assert_eq!(
+            stats,
+            GcStats {
+                scanned: 3,
+                removed: 1,
+                bytes_removed: 100,
+                bytes_kept: 200,
+            }
+        );
+        assert!(newest.exists() && fresh.exists() && !expired.exists());
+        // The newest file is exempt from expiry however old it is.
+        let stats = gc_snapshots(&root, None, Some(Duration::ZERO), 1).unwrap();
+        assert_eq!((stats.removed, stats.bytes_kept), (1, 100));
+        assert!(newest.exists() && !fresh.exists());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn eviction_is_oldest_first_across_tenants_with_ties_broken_by_path() {
+        let root = tmpdir("order");
+        for tenant in ["a", "b", "c"] {
+            put(&root, tenant, "keep.snap", 1, ago(0));
+        }
+        let oldest = put(&root, "c", "z.snap", 7, ago(900));
+        // Two files share one mtime. The one first by path is the larger,
+        // so an order that broke ties by size would evict the other.
+        let tie = ago(500);
+        let first_by_path = put(&root, "a", "y.snap", 10, tie);
+        let second_by_path = put(&root, "b", "x.snap", 5, tie);
+        // 3 protected bytes + 22 unprotected; evicting `z` and then
+        // `a/y.snap` brings the total to 8.
+        let stats = gc_snapshots(&root, Some(9), None, 1).unwrap();
+        assert_eq!(
+            stats,
+            GcStats {
+                scanned: 6,
+                removed: 2,
+                bytes_removed: 17,
+                bytes_kept: 8,
+            }
+        );
+        assert!(!oldest.exists() && !first_by_path.exists());
+        assert!(second_by_path.exists());
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn non_snapshot_files_are_ignored() {
+        let root = tmpdir("other");
+        let newest = put(&root, "acme", "p.snap", 10, ago(10));
+        let others = [
+            put(&root, "acme", "p.snap.tmp", 10, ago(5000)),
+            put(&root, "acme", "notes.txt", 10, ago(5000)),
+        ];
+        fs::write(root.join("stray.snap"), b"not a tenant dir").unwrap();
+        let stats = gc_snapshots(&root, Some(0), Some(Duration::ZERO), 1).unwrap();
+        assert_eq!(
+            stats,
+            GcStats {
+                scanned: 1,
+                removed: 0,
+                bytes_removed: 0,
+                bytes_kept: 10,
+            }
+        );
+        assert!(newest.exists() && others.iter().all(|p| p.exists()));
+        assert!(root.join("stray.snap").exists());
+        let _ = fs::remove_dir_all(&root);
+    }
 }

@@ -102,6 +102,36 @@ fn removed_pipeline_flag_is_ignored_by_export() {
     assert_eq!(stdout, plain);
 }
 
+/// `--cache DIR` and `--analysis` are gone: every ranking command ranks
+/// with the batch engine and keeps nothing on disk. The old flags are
+/// ignored like any unknown flag — and their values like stray words —
+/// so old scripts still get the plain report.
+#[test]
+fn removed_cache_and_analysis_flags_are_ignored_by_report() {
+    let dir = std::env::temp_dir().join(format!("lowutil-cli-qc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_str().expect("temp path is UTF-8");
+    let (plain, _, ok) = lowutil(&["report", SAMPLE]);
+    assert!(ok);
+    let (stdout, stderr, ok) = lowutil(&[
+        "report",
+        SAMPLE,
+        "--cache",
+        dir_arg,
+        "--analysis",
+        "reference",
+    ]);
+    assert!(ok, "{stderr}");
+    for flag in ["--cache", "--analysis"] {
+        assert!(
+            stderr.contains(&format!("ignoring unknown flag `{flag}`")),
+            "{stderr}"
+        );
+    }
+    assert_eq!(stdout, plain);
+    assert!(!dir.exists(), "no cache directory is created");
+}
+
 #[test]
 fn dot_emits_graphviz() {
     let (stdout, _, ok) = lowutil(&["dot", SAMPLE]);

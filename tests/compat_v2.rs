@@ -1,21 +1,18 @@
 //! Wire-format compatibility for trace v2: the checked-in v2 golden
-//! trace (`samples/golden_v2.trace`, recorded by the PR-6-era writer
-//! from `samples/golden.lu` at segment limit 64) must keep replaying
-//! byte-for-byte under every future reader, and the writer's v2
-//! compatibility path must keep producing exactly those bytes. Together
-//! with `compat_v1`, this pins that the v3 thread-id prologue extension
+//! trace (`samples/golden_v2.trace`, recorded from `samples/golden.lu`
+//! at segment limit 64 by the v2 writer this crate once had) must keep
+//! replaying byte-for-byte under every future reader. Together with
+//! `compat_v1`, this pins that the v3 thread-id prologue extension
 //! changed *nothing* for archived single-threaded traces in either
 //! legacy format.
 
 use lowutil::core::{CostGraphConfig, GraphBuilder};
 use lowutil::ir::parse_program;
-use lowutil::vm::{SinkTracer, TraceReader, TraceWriter, Vm, TRACE_VERSION_V2};
+use lowutil::vm::{SinkTracer, TraceReader, Vm, TRACE_VERSION_V2};
 use lowutil_testkit::diff::canon;
 
 const GOLDEN_TRACE: &[u8] = include_bytes!("../samples/golden_v2.trace");
 const GOLDEN_SOURCE: &str = include_str!("../samples/golden.lu");
-/// The segment limit the fixture was recorded with.
-const GOLDEN_SEGMENT_LIMIT: usize = 64;
 
 fn golden_program() -> lowutil::ir::Program {
     parse_program(GOLDEN_SOURCE).expect("golden source parses")
@@ -46,22 +43,6 @@ fn golden_v2_fixture_replays_under_the_v3_reader() {
         canon(&replayed),
         canon(&live),
         "v2 fixture no longer rebuilds the live graph"
-    );
-}
-
-#[test]
-fn v2_writer_path_reproduces_the_fixture_bit_for_bit() {
-    let program = golden_program();
-    let writer = TraceWriter::with_format(Vec::new(), GOLDEN_SEGMENT_LIMIT, TRACE_VERSION_V2);
-    let mut t = SinkTracer(writer);
-    Vm::new(&program).run(&mut t).expect("golden program runs");
-    let (bytes, _) = t.0.finish().expect("in-memory write succeeds");
-    assert!(
-        bytes == GOLDEN_TRACE,
-        "the v2 compatibility writer drifted from the checked-in fixture \
-         ({} bytes vs {})",
-        bytes.len(),
-        GOLDEN_TRACE.len()
     );
 }
 

@@ -1,7 +1,7 @@
 //! Allocation bound for the daemon's warm query path: once a
-//! generation's view is materialized and its ranking cached, `hash`,
-//! `stats`, and `rank` queries answer from the live incremental state —
-//! O(1) scalar reads plus O(response) formatting. A regression that
+//! generation's view is materialized and its ranking memoised beside
+//! it, `hash`, `stats`, and `rank` queries answer from the live
+//! incremental state — O(1) scalar reads plus O(response) formatting. A regression that
 //! re-materializes (`to_cost_graph`) or clones the graph per query
 //! spikes the allocator high-water mark by the graph's live size and
 //! fails the bound.
@@ -22,8 +22,8 @@ use std::time::Duration;
 static ALLOC: GuardedAlloc = GuardedAlloc;
 
 /// Headroom for per-connection plumbing — the accept thread, its
-/// buffered reader, response strings, and the query-cache read — all
-/// bounded by connection and response size, never by graph size.
+/// buffered reader and response strings — all bounded by connection
+/// and response size, never by graph size.
 const WARM_BUDGET_BYTES: usize = 32 << 10;
 
 fn record(program: &Program) -> Vec<u8> {
@@ -56,9 +56,9 @@ fn warm_queries_allocate_o1() {
 
     let resp = push_trace(&addr, "acme", "eclipse@small", "s1", &trace).unwrap();
     assert!(resp.starts_with("ok "), "push: {resp}");
-    // Cold pass: materializes the generation's view, runs the engine,
-    // and populates the query cache. Repeat once so every lazy pool on
-    // the connection path (thread locals, buffered readers) is warm.
+    // Cold pass: materializes the generation's view and runs the engine
+    // once, memoising the ranking. Repeat once so every lazy pool on the
+    // connection path (thread locals, buffered readers) is warm.
     let cold = request(&addr, "query acme eclipse@small rank 5").unwrap();
     let warm = request(&addr, "query acme eclipse@small rank 5").unwrap();
     assert_eq!(cold, warm, "warm ranking reproduces the cold one");
@@ -85,7 +85,7 @@ fn warm_queries_allocate_o1() {
         grew < WARM_BUDGET_BYTES,
         "12 warm queries grew the allocation peak by {grew} bytes; \
          the warm path is supposed to answer from live scalars and the \
-         query cache, not rebuild or clone the graph"
+         memoised ranking, not rebuild or clone the graph"
     );
 
     handle.shutdown();
