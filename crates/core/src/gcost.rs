@@ -158,12 +158,16 @@ pub struct CostGraphConfig {
     /// structurally identical graph; the switch exists for benchmarking
     /// the two paths against each other.
     pub dense_interning: bool,
-    /// Per-instruction inline caches on the hot context-node path: each
+    /// Per-instruction inline caches on the hot per-event path. Each
     /// static instruction remembers the last `(g, NodeId)` it resolved
     /// to, so the common monomorphic case (an instruction re-executing
     /// under the same encoded context) skips slot hashing, conflict
-    /// recording, and the interning table entirely. Produces an
-    /// identical graph; the switch exists for benchmarking the cache.
+    /// recording, and the interning table entirely. Compute and
+    /// Predicate instructions also remember, per operand, the last edge
+    /// that operand added, and skip the edge-set insert when the next
+    /// instance would add the same edge again. Produces an identical
+    /// graph (same node ids, same first-seen edge order); the switch
+    /// exists for benchmarking the caches.
     pub inline_caches: bool,
 }
 
@@ -229,6 +233,10 @@ pub struct GraphBuilder {
     /// Per-instruction inline cache (`(g, node)` indexed by the dense
     /// instruction index), when [`CostGraphConfig::inline_caches`] is on.
     icache: Vec<(u64, NodeId)>,
+    /// Per-instruction edge cache beside `icache`: for operand `k` of a
+    /// Compute or Predicate instruction, the last `(src, dst)` edge it
+    /// added.
+    ecache: Vec<[(NodeId, NodeId); 2]>,
 }
 
 /// The thread-local slice of the builder's state: the shadow stack, the
@@ -260,11 +268,11 @@ impl ThreadState {
 /// would need 2³²−1 nodes before colliding with it.
 const IC_EMPTY: NodeId = NodeId(u32::MAX);
 
-/// A fresh inline-cache table: one empty entry per static instruction
-/// when the cache is enabled, zero-length (never consulted) otherwise.
-fn new_icache(enabled: bool, num_instrs: usize) -> Vec<(u64, NodeId)> {
+/// A fresh inline-cache table: one `empty` entry per static instruction
+/// when the caches are enabled, zero-length (never consulted) otherwise.
+fn new_cache<T: Clone>(enabled: bool, num_instrs: usize, empty: T) -> Vec<T> {
     if enabled {
-        vec![(0, IC_EMPTY); num_instrs]
+        vec![empty; num_instrs]
     } else {
         Vec::new()
     }
@@ -308,7 +316,12 @@ impl GraphBuilder {
             // |D| = s context slots + NoCtx.
             DenseInterner::new(indexer.num_instrs(), config.slots as usize + 1)
         });
-        let icache = new_icache(config.inline_caches, indexer.num_instrs());
+        let icache = new_cache(config.inline_caches, indexer.num_instrs(), (0, IC_EMPTY));
+        let ecache = new_cache(
+            config.inline_caches,
+            indexer.num_instrs(),
+            [(IC_EMPTY, IC_EMPTY); 2],
+        );
         GraphBuilder {
             config,
             graph: DepGraph::new(),
@@ -329,6 +342,7 @@ impl GraphBuilder {
             indexer,
             dense,
             icache,
+            ecache,
         }
     }
 
@@ -447,6 +461,23 @@ impl GraphBuilder {
         }
     }
 
+    /// [`edge_from_shadow`](Self::edge_from_shadow) for operand `k` of
+    /// `at`, through the edge cache: an operand that adds the same edge
+    /// as last time skips the edge-set insert. Edges are idempotent and
+    /// never removed, so the skip leaves the graph unchanged.
+    #[inline]
+    fn operand_edge(&mut self, at: InstrId, k: usize, src: Option<NodeId>, to: NodeId) {
+        let Some(m) = src else { return };
+        if self.config.inline_caches {
+            let last = &mut self.ecache[self.indexer.index(at)][k];
+            if *last == (m, to) {
+                return;
+            }
+            *last = (m, to);
+        }
+        self.graph.add_edge(m, to);
+    }
+
     fn store_common(
         &mut self,
         n: NodeId,
@@ -512,15 +543,17 @@ impl GraphBuilder {
                 value: _,
             } => {
                 let n = self.ctx_node(*at, NodeKind::Plain);
-                for u in uses.iter().flatten() {
-                    self.edge_from_shadow(self.shadow(*u), n);
+                for (k, u) in uses.iter().enumerate() {
+                    if let Some(u) = u {
+                        self.operand_edge(*at, k, self.shadow(*u), n);
+                    }
                 }
                 self.set_shadow(*dst, Some(n));
             }
             Event::Predicate { at, uses, .. } => {
                 let n = self.consumer_node(*at, NodeKind::Predicate);
-                for u in uses {
-                    self.edge_from_shadow(self.shadow(*u), n);
+                for (k, u) in uses.iter().enumerate() {
+                    self.operand_edge(*at, k, self.shadow(*u), n);
                 }
             }
             Event::Alloc {

@@ -8,7 +8,7 @@
 use lowutil::core::{CostGraphConfig, GraphBuilder};
 use lowutil::vm::{SinkTracer, TraceReader, TraceWriter, Vm};
 use lowutil::workloads::{map_suite, WorkloadSize};
-use lowutil_testkit::diff::{assert_live_replay_identical, canon};
+use lowutil_testkit::diff::{assert_live_replay_identical, canon, record_with_live_graph};
 
 /// Records a trace while live-profiling in the same run (one VM pass,
 /// two sinks), then checks the replay against the live graph.
@@ -69,4 +69,33 @@ fn suite_replays_identically_under_ablation_configs() {
             check_workload(&w.program, config, name);
         }
     }
+}
+
+/// The inline caches (per-instruction node and edge caches) only skip
+/// work: over the whole suite, switching them off changes no byte of the
+/// canonical export, live or replayed.
+#[test]
+fn suite_graphs_are_identical_with_inline_caches_on_and_off() {
+    map_suite(WorkloadSize::Small, lowutil::par::default_jobs(), |w| {
+        let on = CostGraphConfig::default();
+        let off = CostGraphConfig {
+            inline_caches: false,
+            ..on
+        };
+        let (bytes, _, live_on) = record_with_live_graph(&w.program, on, 256);
+        let (_, _, live_off) = record_with_live_graph(&w.program, off, 256);
+        let want = canon(&live_on);
+        assert!(canon(&live_off) == want, "{}: live graphs differ", w.name);
+        let reader = TraceReader::new(&bytes).unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        for config in [on, off] {
+            let g = lowutil::par::replay_gcost(&w.program, config, &reader, 1)
+                .unwrap_or_else(|e| panic!("{}: replay failed: {e}", w.name));
+            assert!(
+                canon(&g) == want,
+                "{}: replay with inline_caches {} differs",
+                w.name,
+                config.inline_caches
+            );
+        }
+    });
 }
