@@ -25,10 +25,8 @@
 //! ```
 
 use crate::instr::{BinOp, Callee, CmpOp, Instr, UnOp};
-use crate::program::{AllocKind, AllocSite, Class, Method, NativeDecl, Program, StaticDecl};
-use crate::types::{
-    AllocSiteId, ClassId, FieldId, InstrId, Local, MethodId, NativeId, Pc, StaticId,
-};
+use crate::program::{Class, Method, NativeDecl, Program, StaticDecl};
+use crate::types::{ClassId, FieldId, InstrId, Local, MethodId, NativeId, Pc, StaticId};
 use crate::value::ConstValue;
 use crate::ValidationError;
 use std::collections::HashMap;
@@ -260,14 +258,18 @@ impl ProgramBuilder {
                         .expect("superclass built before subclass");
                     (s.layout.clone(), s.vtable.clone())
                 }
-                None => (Vec::new(), HashMap::new()),
+                None => (Vec::new(), Vec::new()),
             };
             layout.extend(class_fields[ci].iter().copied());
             let mut own_methods = HashMap::new();
             for (mi, m) in built_methods.iter().enumerate() {
                 if m.class == Some(ClassId(ci as u32)) {
                     own_methods.insert(m.name_idx, MethodId(mi as u32));
-                    vtable.insert(m.name_idx, MethodId(mi as u32));
+                    let slot = m.name_idx as usize;
+                    if vtable.len() <= slot {
+                        vtable.resize(slot + 1, None);
+                    }
+                    vtable[slot] = Some(MethodId(mi as u32));
                 }
             }
             built_classes[ci] = Some(Class {
@@ -281,14 +283,15 @@ impl ProgramBuilder {
         }
         let built_classes: Vec<Class> = built_classes.into_iter().map(Option::unwrap).collect();
 
-        let offsets: Vec<HashMap<FieldId, u32>> = built_classes
+        let offsets: Vec<Vec<Option<u32>>> = built_classes
             .iter()
             .map(|c| {
-                c.layout
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &f)| (f, i as u32))
-                    .collect()
+                let len = c.layout.iter().map(|f| f.index() + 1).max().unwrap_or(0);
+                let mut table = vec![None; len];
+                for (i, &f) in c.layout.iter().enumerate() {
+                    table[f.index()] = Some(i as u32);
+                }
+                table
             })
             .collect();
 
@@ -303,7 +306,7 @@ impl ProgramBuilder {
             method_names: name_table,
             entry,
             alloc_sites: Vec::new(),
-            alloc_site_of: HashMap::new(),
+            alloc_site_of: Vec::new(),
             offsets,
         };
 
@@ -339,21 +342,7 @@ impl ProgramBuilder {
         }
         program.methods = built_methods;
 
-        // Assign allocation sites in program order.
-        for id in program
-            .instr_ids()
-            .filter(|&id| program.instr(id).is_alloc())
-            .collect::<Vec<_>>()
-        {
-            let site = AllocSiteId(program.alloc_sites.len() as u32);
-            let kind = match program.instr(id) {
-                Instr::New { class, .. } => AllocKind::Class(*class),
-                _ => AllocKind::Array,
-            };
-            program.alloc_sites.push(AllocSite { instr: id, kind });
-            program.alloc_site_of.insert(id, site);
-        }
-
+        program.assign_alloc_sites();
         program.validate()?;
         Ok(program)
     }
@@ -683,7 +672,7 @@ impl MethodBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Value;
+    use crate::{AllocSiteId, Value};
 
     #[test]
     fn labels_fix_forward_and_backward_branches() {

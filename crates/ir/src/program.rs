@@ -22,8 +22,8 @@ pub struct Class {
     pub(crate) layout: Vec<FieldId>,
     /// Methods declared directly on this class, keyed by interned name.
     pub(crate) own_methods: HashMap<u32, MethodId>,
-    /// Full dispatch table (inherited + own), keyed by interned name.
-    pub(crate) vtable: HashMap<u32, MethodId>,
+    /// Full dispatch table (inherited + own), indexed by interned name.
+    pub(crate) vtable: Vec<Option<MethodId>>,
 }
 
 impl Class {
@@ -182,9 +182,11 @@ pub struct Program {
     pub(crate) method_names: Vec<String>,
     pub(crate) entry: MethodId,
     pub(crate) alloc_sites: Vec<AllocSite>,
-    pub(crate) alloc_site_of: HashMap<InstrId, AllocSiteId>,
-    /// Per-class field offset maps.
-    pub(crate) offsets: Vec<HashMap<FieldId, u32>>,
+    /// Allocation site of each instruction, indexed by method then pc.
+    pub(crate) alloc_site_of: Vec<Vec<Option<AllocSiteId>>>,
+    /// Per-class field offsets, indexed by [`FieldId`]. Dense tables, not
+    /// maps: the interpreter looks these up on every field access.
+    pub(crate) offsets: Vec<Vec<Option<u32>>>,
 }
 
 impl Program {
@@ -297,12 +299,19 @@ impl Program {
 
     /// Resolves a virtual call on a receiver of dynamic class `class`.
     pub fn resolve_virtual(&self, class: ClassId, name_idx: u32) -> Option<MethodId> {
-        self.classes[class.index()].vtable.get(&name_idx).copied()
+        self.classes[class.index()]
+            .vtable
+            .get(name_idx as usize)
+            .copied()
+            .flatten()
     }
 
     /// Storage offset of `field` within an instance of `class`.
     pub fn field_offset(&self, class: ClassId, field: FieldId) -> Option<u32> {
-        self.offsets[class.index()].get(&field).copied()
+        self.offsets[class.index()]
+            .get(field.index())
+            .copied()
+            .flatten()
     }
 
     /// Returns `true` if `class` is `ancestor` or a (transitive) subclass.
@@ -324,7 +333,37 @@ impl Program {
 
     /// The allocation site of an allocating instruction.
     pub fn alloc_site_at(&self, instr: InstrId) -> Option<AllocSiteId> {
-        self.alloc_site_of.get(&instr).copied()
+        self.alloc_site_of
+            .get(instr.method.index())?
+            .get(instr.pc as usize)
+            .copied()
+            .flatten()
+    }
+
+    /// Numbers the allocating instructions in program order: the ids
+    /// [`alloc_sites`](Self::alloc_sites) and
+    /// [`alloc_site_at`](Self::alloc_site_at) report.
+    pub(crate) fn assign_alloc_sites(&mut self) {
+        self.alloc_sites.clear();
+        self.alloc_site_of = self
+            .methods
+            .iter()
+            .map(|m| vec![None; m.body.len()])
+            .collect();
+        for (mi, m) in self.methods.iter().enumerate() {
+            for (pc, instr) in m.body.iter().enumerate() {
+                let kind = match instr {
+                    Instr::New { class, .. } => AllocKind::Class(*class),
+                    i if i.is_alloc() => AllocKind::Array,
+                    _ => continue,
+                };
+                self.alloc_site_of[mi][pc] = Some(AllocSiteId(self.alloc_sites.len() as u32));
+                self.alloc_sites.push(AllocSite {
+                    instr: InstrId::new(MethodId(mi as u32), pc as Pc),
+                    kind,
+                });
+            }
+        }
     }
 
     /// Total number of static instructions (the size of domain `I`).
@@ -370,19 +409,7 @@ impl Program {
         for (mi, m) in p.methods.iter_mut().enumerate() {
             m.body = rewrite(MethodId(mi as u32), &self.methods[mi].body);
         }
-        p.alloc_sites.clear();
-        p.alloc_site_of.clear();
-        let alloc_instrs: Vec<InstrId> =
-            p.instr_ids().filter(|&id| p.instr(id).is_alloc()).collect();
-        for id in alloc_instrs {
-            let site = AllocSiteId(p.alloc_sites.len() as u32);
-            let kind = match p.instr(id) {
-                Instr::New { class, .. } => AllocKind::Class(*class),
-                _ => AllocKind::Array,
-            };
-            p.alloc_sites.push(AllocSite { instr: id, kind });
-            p.alloc_site_of.insert(id, site);
-        }
+        p.assign_alloc_sites();
         p.validate()?;
         Ok(p)
     }
