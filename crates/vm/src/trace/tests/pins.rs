@@ -6,12 +6,22 @@
 
 use super::*;
 
-/// A v3 trace of one segment (empty prologue) carrying `payload`,
-/// checksummed over whatever the payload holds, then a trailer.
+/// A v3 trace of one segment on thread 0 (empty prologue) carrying
+/// `payload`, checksummed over whatever the payload holds, then a
+/// trailer.
 fn framed(payload: &[u8]) -> Vec<u8> {
-    // Index 0, then a 4-byte prologue: thread 0, no frames, not in a
-    // phase, first gid 0.
-    let mut body = vec![0, 4, 0, 0, 0, 0];
+    framed_on(0, payload)
+}
+
+/// [`framed`], with the prologue naming `thread`.
+fn framed_on(thread: u32, payload: &[u8]) -> Vec<u8> {
+    // Index 0, then the prologue: `thread`, no frames, not in a phase,
+    // first gid 0.
+    let mut prologue = Vec::new();
+    put_u32(&mut prologue, thread);
+    prologue.extend_from_slice(&[0, 0, 0]);
+    let mut body = vec![0, prologue.len() as u8];
+    body.extend_from_slice(&prologue);
     put_u64(&mut body, payload.len() as u64);
     body.extend_from_slice(payload);
     let mut t = TRACE_MAGIC.to_vec();
@@ -28,7 +38,9 @@ fn framed(payload: &[u8]) -> Vec<u8> {
 /// Every content-error class inside a checksum-valid segment fails
 /// with the offset and message the decoder has always given, the
 /// same through `replay`, `salvage` and the streaming reader, after
-/// delivering the clean record in front of it.
+/// delivering the clean record in front of it. The streaming reader
+/// counts none of the failed segment: its progress is salvage's
+/// synthesized trailer.
 #[test]
 fn content_errors_fail_at_pinned_offsets() {
     // A clean `Jump`, then a record opening with `op` whose fields
@@ -78,10 +90,58 @@ fn content_errors_fail_at_pinned_offsets() {
         let mut sink = CountingSink::new();
         assert_eq!(pin(reader.replay(&mut sink).expect_err(want)), want);
         assert_eq!(sink.events, 1, "{want}: the clean jump is delivered");
-        let (_, st) = TraceReader::salvage(&bytes).expect("header is intact");
+        let (salvaged, st) = TraceReader::salvage(&bytes).expect("header is intact");
         assert_eq!(pin(st.first_error.expect(want)), want);
         let mut r = StreamingReader::new();
+        let mut sink = CountingSink::new();
         assert_eq!(pin(r.feed(&bytes, &mut sink).expect_err(want)), want);
+        assert_eq!(sink.events, 1, "{want}: the leading jump is delivered");
+        assert_eq!(r.segments_seen(), 0, "{want}");
+        assert_eq!(&r.progress(), salvaged.trailer(), "{want}");
+    }
+}
+
+/// The writer numbers threads and objects densely, and a record that
+/// breaks either sequence fails as a pinned error through `salvage`
+/// and the streaming reader before it reaches the sink: a prologue
+/// naming a thread no `Spawn` created, and an `Alloc` that does not
+/// carry its own allocation count as the object id. Unchecked, either
+/// id sizes a table in the graph builder.
+#[test]
+fn sequence_errors_fail_at_pinned_offsets() {
+    // A frame push (opcode 16) into method 0 with one local, then an
+    // `Alloc` (opcode 2) at its first instruction naming object
+    // 4,000,000 (varint 80 92 f4 01).
+    let alloc = [
+        16, 0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0x80, 0x92, 0xf4, 0x01, 0, 0,
+    ];
+    let cases = [
+        (
+            framed_on(4_000_000, &[]),
+            "17: segment runs on thread 4000000 but only 0 threads were spawned",
+            0,
+        ),
+        (
+            framed_on(0, &alloc),
+            "21: alloc record names object 4000000 but is allocation 0",
+            1,
+        ),
+    ];
+    let pin = |e: TraceError| format!("{}: {}", e.offset, e.message);
+    for (bytes, want, pushes) in cases {
+        let (salvaged, st) = TraceReader::salvage(&bytes).expect("header is intact");
+        assert_eq!(pin(st.first_error.expect(want)), want);
+        assert_eq!(st.segments_kept, 0, "{want}");
+        let mut r = StreamingReader::new();
+        let mut sink = CountingSink::new();
+        assert_eq!(pin(r.feed(&bytes, &mut sink).expect_err(want)), want);
+        assert_eq!(
+            (sink.switches, sink.pushes, sink.events),
+            (0, pushes, 0),
+            "{want}: only the records before the offender are delivered"
+        );
+        assert_eq!(r.segments_seen(), 0, "{want}");
+        assert_eq!(&r.progress(), salvaged.trailer(), "{want}");
     }
 }
 
