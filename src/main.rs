@@ -52,12 +52,6 @@
 //! lowutil query <addr> <words...>    query a daemon (`<tenant> <program>
 //!                                    hash|stats|rank|report|diff ...`, or
 //!                                    the bare `stats` / `shutdown`)
-//! lowutil cache gc <tenants-dir> [--max-bytes N] [--max-age-secs N]
-//!                                [--keep-latest N]
-//!                                    sweep a daemon's per-tenant snapshot
-//!                                    dirs (`<data-dir>/tenants`) down to
-//!                                    size/age budgets, always keeping
-//!                                    each tenant's newest N snapshots
 //! lowutil diff <a.snap> <b.snap> [--min-imbalance X] [--worsen-factor X]
 //!                                    align structures across two snapshots
 //!                                    by (context, allocation-site) and
@@ -89,17 +83,17 @@ use lowutil::core::{
     CostProfiler, CsrGraph,
 };
 use lowutil::ir::{display_program, parse_program, Program};
-use lowutil::serve::{gc_snapshots, ServeConfig, Server};
+use lowutil::serve::{ServeConfig, Server};
 use lowutil::vm::{NullTracer, RunConfig, SinkTracer, TraceReader, TraceWriter, Vm};
 use lowutil::workloads::{workload, WorkloadSize, NAMES};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: lowutil <run|report|dead|copies|methods|caches|alloc|disasm|export|dot|suite|record|replay|snapshot|diff|serve|push|query|cache> <file.lu|name|all> [trace|snap] [flags]"
+        "usage: lowutil <run|report|dead|copies|methods|caches|alloc|disasm|export|dot|suite|record|replay|snapshot|diff|serve|push|query> <file.lu|name|all> [trace|snap] [flags]"
     );
     eprintln!(
-        "flags: --top N   --slots S   --control   --traditional   --size small|default|large   --jobs N   --salvage   --segment-limit N   --sched-seed N   --min-imbalance X   --worsen-factor X   --fail-on-regression   --listen ADDR   --spool DIR   --programs DIR   --unix PATH   --idle-secs N   --max-bytes N   --max-age-secs N   --keep-latest N"
+        "flags: --top N   --slots S   --control   --traditional   --size small|default|large   --jobs N   --salvage   --segment-limit N   --sched-seed N   --min-imbalance X   --worsen-factor X   --fail-on-regression   --listen ADDR   --spool DIR   --programs DIR   --unix PATH   --idle-secs N"
     );
     ExitCode::from(2)
 }
@@ -131,12 +125,6 @@ struct Flags {
     unix: Option<String>,
     /// `serve`: session idle-eviction timeout (`--idle-secs N`).
     idle_secs: Option<u64>,
-    /// `cache gc`: snapshot size budget (`--max-bytes N`).
-    max_bytes: Option<u64>,
-    /// `cache gc`: snapshot age budget (`--max-age-secs N`).
-    max_age_secs: Option<u64>,
-    /// `cache gc`: per-tenant newest-snapshot floor (`--keep-latest N`).
-    keep_latest: usize,
 }
 
 /// Consumes the next argument as a flag value only when one is actually
@@ -170,9 +158,6 @@ fn parse_flags(args: &[String]) -> Flags {
         programs: None,
         unix: None,
         idle_secs: None,
-        max_bytes: None,
-        max_age_secs: None,
-        keep_latest: 1,
     };
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
@@ -249,29 +234,6 @@ fn parse_flags(args: &[String]) -> Flags {
                     f.idle_secs = Some(v);
                 } else {
                     eprintln!("--idle-secs needs a number; keeping the default");
-                }
-            }
-            "--max-bytes" => {
-                if let Some(v) = take_value(&mut it).and_then(|s| s.parse::<u64>().ok()) {
-                    f.max_bytes = Some(v);
-                } else {
-                    eprintln!("--max-bytes needs a number; size budget stays off");
-                }
-            }
-            "--max-age-secs" => {
-                if let Some(v) = take_value(&mut it).and_then(|s| s.parse::<u64>().ok()) {
-                    f.max_age_secs = Some(v);
-                } else {
-                    eprintln!("--max-age-secs needs a number; age budget stays off");
-                }
-            }
-            "--keep-latest" => {
-                if let Some(v) = take_value(&mut it).and_then(|s| s.parse::<usize>().ok()) {
-                    // An active tenant must never lose its newest
-                    // snapshot; 0 would defeat the floor.
-                    f.keep_latest = v.max(1);
-                } else {
-                    eprintln!("--keep-latest needs a number; keeping {}", f.keep_latest);
                 }
             }
             "--min-imbalance" => {
@@ -379,7 +341,7 @@ fn main() -> ExitCode {
     // snapshot save/load take a subcommand plus two paths; push takes
     // four positionals; query treats every word as part of the request.
     let flag_start = match cmd {
-        "record" | "replay" | "diff" | "cache" => 3,
+        "record" | "replay" | "diff" => 3,
         "snapshot" => match target {
             "info" | "verify" => 3,
             _ => 4,
@@ -847,26 +809,6 @@ fn main() -> ExitCode {
                 if response.starts_with("error ") || response.starts_with("rejected ") {
                     exit = ExitCode::FAILURE;
                 }
-                Ok(())
-            }
-            "cache" => {
-                if target != "gc" {
-                    return Err(format!("cache needs gc, not `{target}`"));
-                }
-                let dir = args
-                    .get(2)
-                    .ok_or("cache gc needs <tenants-dir>".to_string())?;
-                let s = gc_snapshots(
-                    std::path::Path::new(dir),
-                    flags.max_bytes,
-                    flags.max_age_secs.map(std::time::Duration::from_secs),
-                    flags.keep_latest,
-                )
-                .map_err(|e| format!("cache gc {dir}: {e}"))?;
-                println!(
-                    "scanned {}  removed {}  bytes_removed {}  bytes_kept {}",
-                    s.scanned, s.removed, s.bytes_removed, s.bytes_kept
-                );
                 Ok(())
             }
             "diff" => {

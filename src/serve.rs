@@ -38,8 +38,10 @@
 //! that agrees with its replayed contents is absorbed. An evicted,
 //! disconnected, or corrupted session finalizes through the salvage
 //! path — its longest valid prefix is *reported* to the client (the
-//! builder's state is exactly the offline `TraceReader::salvage`
-//! prefix) — but it is **never** merged, so a bad session cannot change
+//! reported segment and event counts are exactly the offline
+//! `TraceReader::salvage` prefix's; the builder, which may also hold the
+//! leading records of a failed segment, is dropped unread) — but it is
+//! **never** merged, so a bad session cannot change
 //! a tenant aggregate's content hash. Because [`Aggregate::absorb`] is
 //! commutative, concurrent arrival order does not change the merged
 //! graph either: the daemon's aggregate is byte-identical to an offline
@@ -51,8 +53,8 @@
 //! in memory beside the generation's materialised graph and dropped by
 //! the next absorb.
 //!
-//! The daemon never deletes persisted snapshots; `lowutil cache gc`
-//! sweeps them offline through [`gc_snapshots`].
+//! The daemon writes exactly one snapshot per aggregate and never
+//! deletes one: every persisted file is live state.
 
 use crate::analyses::{
     dead_value_metrics, diff_rankings, rank_structures_with, ranked_keys, render_report,
@@ -73,7 +75,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
 /// How the daemon listens, ingests, and bounds sessions.
 #[derive(Debug, Clone)]
@@ -855,119 +857,6 @@ fn persist_live(
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot sweep
-// ---------------------------------------------------------------------------
-
-/// What one [`gc_snapshots`] sweep did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcStats {
-    /// `.snap` files examined.
-    pub scanned: u64,
-    /// Files deleted (expired plus evicted-for-size).
-    pub removed: u64,
-    /// Bytes freed by the removals.
-    pub bytes_removed: u64,
-    /// Bytes remaining in kept files.
-    pub bytes_kept: u64,
-}
-
-/// Sweeps the daemon's per-tenant snapshot directories
-/// (`<root>/<tenant>/*.snap`, where `root` is `<data-dir>/tenants`)
-/// down to the given size/age budgets. The newest `keep_latest`
-/// snapshots of every tenant are exempt from both budgets, so an active
-/// tenant never loses its most recent state; `keep_latest` is clamped
-/// to at least 1. The daemon keeps one snapshot per program, so the
-/// floor counts a tenant's most recently written programs.
-///
-/// Age expiry runs first over the unprotected files. Then, while the
-/// total (protected files included) exceeds `max_bytes`, unprotected
-/// survivors are evicted oldest-first across all tenants, ties broken
-/// by path. Kept files are untouched, so a daemon restart restores
-/// exactly the bytes it persisted. A missing root is an empty store,
-/// not an error; non-`.snap` files and stray non-directories are
-/// ignored.
-///
-/// # Errors
-/// Propagates I/O errors other than the root not existing.
-pub fn gc_snapshots(
-    root: &Path,
-    max_bytes: Option<u64>,
-    max_age: Option<Duration>,
-    keep_latest: usize,
-) -> io::Result<GcStats> {
-    let keep_latest = keep_latest.max(1);
-    let mut stats = GcStats::default();
-    let tenants = match fs::read_dir(root) {
-        Ok(it) => it,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(stats),
-        Err(e) => return Err(e),
-    };
-    let now = SystemTime::now();
-    let mut protected_bytes: u64 = 0;
-    // Unprotected candidates across all tenants: (mtime, len, path).
-    let mut pool: Vec<(SystemTime, u64, PathBuf)> = Vec::new();
-    for tenant in tenants {
-        let tenant = tenant?;
-        if !tenant.file_type()?.is_dir() {
-            continue;
-        }
-        let mut snaps: Vec<(SystemTime, u64, PathBuf)> = Vec::new();
-        for entry in fs::read_dir(tenant.path())? {
-            let entry = entry?;
-            let path = entry.path();
-            if path.extension().is_none_or(|e| e != "snap") {
-                continue;
-            }
-            stats.scanned += 1;
-            let meta = entry.metadata().ok();
-            let mtime = meta
-                .as_ref()
-                .and_then(|m| m.modified().ok())
-                .unwrap_or(SystemTime::UNIX_EPOCH);
-            snaps.push((mtime, meta.map_or(0, |m| m.len()), path));
-        }
-        // Newest first; ties broken by path so the protected set is
-        // deterministic within one timestamp granule.
-        snaps.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| b.2.cmp(&a.2)));
-        for (i, snap) in snaps.into_iter().enumerate() {
-            if i < keep_latest {
-                protected_bytes += snap.1;
-            } else {
-                pool.push(snap);
-            }
-        }
-    }
-    let mut pool_bytes: u64 = 0;
-    let mut live: Vec<(SystemTime, u64, PathBuf)> = Vec::new();
-    for (mtime, len, path) in pool {
-        let expired = max_age.is_some_and(|age| now.duration_since(mtime).is_ok_and(|d| d > age));
-        if expired {
-            fs::remove_file(&path)?;
-            stats.removed += 1;
-            stats.bytes_removed += len;
-        } else {
-            pool_bytes += len;
-            live.push((mtime, len, path));
-        }
-    }
-    if let Some(budget) = max_bytes {
-        live.sort_by(|a, b| a.0.cmp(&b.0).then_with(|| a.2.cmp(&b.2)));
-        let mut victims = live.iter();
-        while protected_bytes + pool_bytes > budget {
-            let Some((_, len, path)) = victims.next() else {
-                break;
-            };
-            fs::remove_file(path)?;
-            stats.removed += 1;
-            stats.bytes_removed += len;
-            pool_bytes -= len;
-        }
-    }
-    stats.bytes_kept = protected_bytes + pool_bytes;
-    Ok(stats)
-}
-
-// ---------------------------------------------------------------------------
 // Spool ingestion
 // ---------------------------------------------------------------------------
 
@@ -1251,149 +1140,4 @@ pub fn spool_paths(spool: &Path, tenant: &str, program: &str, id: &str) -> (Path
         dir.join(format!("{id}.trace")),
         dir.join(format!("{id}.resp")),
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("lowutil-snapgc-{tag}-{}", std::process::id()));
-        let _ = fs::remove_dir_all(&d);
-        d
-    }
-
-    fn ago(secs: u64) -> SystemTime {
-        SystemTime::now() - Duration::from_secs(secs)
-    }
-
-    /// Writes `len` bytes at `root/<tenant>/<name>` with the given mtime.
-    fn put(root: &Path, tenant: &str, name: &str, len: usize, mtime: SystemTime) -> PathBuf {
-        let dir = root.join(tenant);
-        fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(name);
-        fs::write(&path, vec![0u8; len]).unwrap();
-        fs::File::options()
-            .write(true)
-            .open(&path)
-            .unwrap()
-            .set_modified(mtime)
-            .unwrap();
-        path
-    }
-
-    #[test]
-    fn missing_root_is_an_empty_sweep() {
-        let root = tmpdir("missing");
-        let stats = gc_snapshots(&root, Some(0), Some(Duration::ZERO), 1).unwrap();
-        assert_eq!(stats, GcStats::default());
-    }
-
-    #[test]
-    fn each_tenants_newest_snapshots_survive_a_zero_budget() {
-        let root = tmpdir("floor");
-        let mut kept = Vec::new();
-        let mut gone = Vec::new();
-        for tenant in ["acme", "zeta"] {
-            gone.push(put(&root, tenant, "old.snap", 10, ago(3000)));
-            kept.push(put(&root, tenant, "mid.snap", 20, ago(2000)));
-            kept.push(put(&root, tenant, "new.snap", 30, ago(1000)));
-        }
-        let stats = gc_snapshots(&root, Some(0), None, 2).unwrap();
-        assert_eq!(
-            stats,
-            GcStats {
-                scanned: 6,
-                removed: 2,
-                bytes_removed: 20,
-                bytes_kept: 100,
-            }
-        );
-        assert!(kept.iter().all(|p| p.exists()));
-        assert!(gone.iter().all(|p| !p.exists()));
-        // A floor of 0 is clamped to 1: only each newest file remains.
-        let stats = gc_snapshots(&root, Some(0), None, 0).unwrap();
-        assert_eq!((stats.scanned, stats.removed, stats.bytes_kept), (4, 2, 60));
-        assert!(root.join("acme/new.snap").exists() && root.join("zeta/new.snap").exists());
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn age_expiry_runs_before_the_size_sweep() {
-        let root = tmpdir("age");
-        let newest = put(&root, "acme", "a.snap", 100, ago(10));
-        let fresh = put(&root, "acme", "b.snap", 100, ago(20));
-        let expired = put(&root, "acme", "c.snap", 100, ago(5000));
-        // Once the expired file is gone the other two fit the budget, so
-        // the size sweep must not evict the fresh one too.
-        let stats = gc_snapshots(&root, Some(200), Some(Duration::from_secs(1000)), 1).unwrap();
-        assert_eq!(
-            stats,
-            GcStats {
-                scanned: 3,
-                removed: 1,
-                bytes_removed: 100,
-                bytes_kept: 200,
-            }
-        );
-        assert!(newest.exists() && fresh.exists() && !expired.exists());
-        // The newest file is exempt from expiry however old it is.
-        let stats = gc_snapshots(&root, None, Some(Duration::ZERO), 1).unwrap();
-        assert_eq!((stats.removed, stats.bytes_kept), (1, 100));
-        assert!(newest.exists() && !fresh.exists());
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn eviction_is_oldest_first_across_tenants_with_ties_broken_by_path() {
-        let root = tmpdir("order");
-        for tenant in ["a", "b", "c"] {
-            put(&root, tenant, "keep.snap", 1, ago(0));
-        }
-        let oldest = put(&root, "c", "z.snap", 7, ago(900));
-        // Two files share one mtime. The one first by path is the larger,
-        // so an order that broke ties by size would evict the other.
-        let tie = ago(500);
-        let first_by_path = put(&root, "a", "y.snap", 10, tie);
-        let second_by_path = put(&root, "b", "x.snap", 5, tie);
-        // 3 protected bytes + 22 unprotected; evicting `z` and then
-        // `a/y.snap` brings the total to 8.
-        let stats = gc_snapshots(&root, Some(9), None, 1).unwrap();
-        assert_eq!(
-            stats,
-            GcStats {
-                scanned: 6,
-                removed: 2,
-                bytes_removed: 17,
-                bytes_kept: 8,
-            }
-        );
-        assert!(!oldest.exists() && !first_by_path.exists());
-        assert!(second_by_path.exists());
-        let _ = fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn non_snapshot_files_are_ignored() {
-        let root = tmpdir("other");
-        let newest = put(&root, "acme", "p.snap", 10, ago(10));
-        let others = [
-            put(&root, "acme", "p.snap.tmp", 10, ago(5000)),
-            put(&root, "acme", "notes.txt", 10, ago(5000)),
-        ];
-        fs::write(root.join("stray.snap"), b"not a tenant dir").unwrap();
-        let stats = gc_snapshots(&root, Some(0), Some(Duration::ZERO), 1).unwrap();
-        assert_eq!(
-            stats,
-            GcStats {
-                scanned: 1,
-                removed: 0,
-                bytes_removed: 0,
-                bytes_kept: 10,
-            }
-        );
-        assert!(newest.exists() && others.iter().all(|p| p.exists()));
-        assert!(root.join("stray.snap").exists());
-        let _ = fs::remove_dir_all(&root);
-    }
 }
