@@ -22,7 +22,8 @@ use crate::graph::{DepGraph, NodeId, NodeKind};
 use lowutil_ir::{InstrId, Program};
 use lowutil_vm::trace::{Segment, TraceError, TraceReader};
 
-/// Sequentially replays a whole trace through a fresh [`GraphBuilder`](crate::GraphBuilder).
+/// Sequentially replays a whole trace through a fresh [`GraphBuilder`](crate::GraphBuilder),
+/// with [`TraceReader::replay`]'s dense thread and object id checks.
 ///
 /// # Errors
 /// Fails on a malformed trace.
@@ -31,7 +32,9 @@ pub fn replay_cost_graph(
     config: CostGraphConfig,
     reader: &TraceReader<'_>,
 ) -> Result<CostGraph, TraceError> {
-    replay_segments(program, config, reader.segments())
+    let mut builder = crate::gcost::GraphBuilder::new(program, config);
+    reader.replay(&mut builder)?;
+    Ok(builder.finish())
 }
 
 /// Sequentially replays an explicit segment slice — any prefix (or other
@@ -40,7 +43,9 @@ pub fn replay_cost_graph(
 /// This is what makes salvage differential testing possible: the graph of
 /// a salvaged reader must be byte-identical (under canonical export) to
 /// the graph of the *original* trace restricted to the kept prefix, and
-/// this function computes that restriction.
+/// this function computes that restriction. It skips
+/// [`TraceReader::replay`]'s dense-id checks, which salvage has already
+/// run on every segment it keeps.
 ///
 /// # Errors
 /// Fails on a malformed segment.

@@ -17,6 +17,11 @@ use std::error::Error;
 use std::fmt;
 use std::mem;
 
+/// The default [`RunConfig::max_stack`]. The trace writer's largest
+/// segment prologue, and with it the streaming reader's default record
+/// limit, is sized for a stack this deep.
+pub(crate) const DEFAULT_MAX_STACK: usize = 1 << 14;
+
 /// Limits and seeds for one run.
 #[derive(Debug, Clone, Copy)]
 pub struct RunConfig {
@@ -37,7 +42,7 @@ impl Default for RunConfig {
     fn default() -> Self {
         RunConfig {
             max_instructions: 2_000_000_000,
-            max_stack: 1 << 14,
+            max_stack: DEFAULT_MAX_STACK,
             seed: 0x5eed_1011,
             sched_seed: 0,
         }

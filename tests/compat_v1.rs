@@ -8,7 +8,10 @@
 
 use lowutil::core::{CostGraphConfig, GraphBuilder};
 use lowutil::ir::parse_program;
-use lowutil::vm::{SinkTracer, TraceReader, TraceWriter, Vm, TRACE_VERSION, TRACE_VERSION_V1};
+use lowutil::vm::{
+    Event, EventSink, FrameInfo, SinkTracer, TraceReader, TraceWriter, Trailer, Vm, TRACE_VERSION,
+    TRACE_VERSION_V1,
+};
 use lowutil_testkit::diff::canon;
 
 const GOLDEN_TRACE: &[u8] = include_bytes!("../samples/golden_v1.trace");
@@ -52,20 +55,45 @@ fn golden_v1_fixture_replays_under_the_v2_reader() {
     );
 }
 
+/// Renders every record a replay delivers, for stream comparison.
+#[derive(Default)]
+struct StreamLog(Vec<String>);
+
+impl EventSink for StreamLog {
+    fn event(&mut self, e: &Event) {
+        self.0.push(format!("{e:?}"));
+    }
+
+    fn frame_push(&mut self, info: &FrameInfo) {
+        self.0.push(format!("push {info:?}"));
+    }
+
+    fn frame_pop(&mut self) {
+        self.0.push("pop".to_string());
+    }
+}
+
 #[test]
 fn v2_recording_of_the_golden_program_differs_only_in_envelope() {
-    // Same program, current writer: parses as v2, replays to the same
-    // stream totals. Guards the version negotiation itself.
+    // Same program, current writer: the reader negotiates each version
+    // from its header, and both replay the identical record stream with
+    // the same run totals. Where the writers split segments is not
+    // compared: the v1 writer split only at frame pushes.
     let program = golden_program();
     let writer = TraceWriter::with_segment_limit(Vec::new(), GOLDEN_SEGMENT_LIMIT);
     let mut t = SinkTracer(writer);
     Vm::new(&program).run(&mut t).expect("golden program runs");
     let (bytes, _) = t.0.finish().expect("in-memory write succeeds");
-    let v2 = TraceReader::new(&bytes).expect("v2 trace parses");
+    let current = TraceReader::new(&bytes).expect("current trace parses");
     let v1 = TraceReader::new(GOLDEN_TRACE).expect("v1 trace parses");
-    assert_eq!(v2.version(), TRACE_VERSION);
-    assert_eq!(v2.trailer(), v1.trailer());
-    assert_eq!(v2.segments().len(), v1.segments().len());
+    assert_eq!(current.version(), TRACE_VERSION);
+    assert_eq!(v1.version(), TRACE_VERSION_V1);
+    let totals = |t: &Trailer| Trailer { segments: 0, ..*t };
+    assert_eq!(totals(current.trailer()), totals(v1.trailer()));
+    let (mut a, mut b) = (StreamLog::default(), StreamLog::default());
+    current.replay(&mut a).expect("current trace replays");
+    v1.replay(&mut b).expect("v1 trace replays");
+    assert_eq!(a.0, b.0, "identical stream across wire versions");
 }
 
 #[test]
