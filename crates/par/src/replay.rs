@@ -6,9 +6,11 @@
 //! over the suite's 21 traces at `small`, that path did about twice the
 //! sequential work — each prescan is a full decode, and decoding alone
 //! is ~63% of a sequential replay — and it could not balance: segments
-//! split only at frame pushes, so one segment holds nearly all of a big
-//! trace (10.61 of tomcat's 10.90 MB). It never beat one thread, so it
-//! is gone.
+//! then split only at frame pushes, so one segment held nearly all of a
+//! big trace (10.61 of tomcat's 10.90 MB). It never beat one thread, so
+//! it is gone. Segments are now bounded (at most 16,384 records each),
+//! so the second reason is gone; the first, the prescans' extra decodes,
+//! stands.
 
 use lowutil_core::shard::replay_cost_graph;
 use lowutil_core::{CostGraph, CostGraphConfig};

@@ -6,7 +6,8 @@
 //! workspace). Programs draw from a fixed shape — [`NUM_REGS`] integer
 //! registers, one object with [`NUM_FIELDS`] fields, one
 //! [`ARRAY_LEN`]-element array — and may call a tiny `double` callee
-//! (exercising frame pushes, where trace segments split), take
+//! (exercising frame pushes and pops inside and across trace
+//! segments), take
 //! forward conditional branches ([`Op::Skip`]), which keep every
 //! generated program trivially terminating while still producing
 //! non-straight-line control flow, and spawn guest threads
@@ -108,7 +109,7 @@ pub fn build(ops: &[Op]) -> Program {
     let bin_ops = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Xor];
 
     // A tiny callee so generated programs also exercise frame pushes
-    // (which is where trace segments may split).
+    // and pops, which segment prologues must carry across splits.
     let mut dm = pb.method("double", 1);
     let p0 = dm.param(0);
     let dr = dm.new_local("dr");
