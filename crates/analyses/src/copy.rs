@@ -63,11 +63,11 @@ impl CopyDomain {
     }
 
     fn origin(&self, l: lowutil_ir::Local) -> CopySource {
-        *self.origins.top().get(l.index())
+        *self.origins.get(l.index())
     }
 
     fn set_origin(&mut self, l: lowutil_ir::Local, o: CopySource) {
-        self.origins.top_mut().set(l.index(), o);
+        self.origins.set(l.index(), o);
     }
 
     fn tag(&self, obj: ObjectId) -> Option<AllocSiteId> {
@@ -186,7 +186,7 @@ impl AbstractDomain for CopyDomain {
         self.origins.push(info.num_locals as usize);
         for i in 0..info.num_args as usize {
             let o = self.pending_args.get(i).copied().unwrap_or_default();
-            self.origins.top_mut().set(i, o);
+            self.origins.set(i, o);
         }
         self.pending_args.clear();
     }

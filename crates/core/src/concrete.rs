@@ -175,11 +175,11 @@ impl ConcreteProfiler {
     }
 
     fn shadow(&self, l: Local) -> Option<InstanceId> {
-        *self.lane().shadow_stack.top().get(l.index())
+        *self.lane().shadow_stack.get(l.index())
     }
 
     fn set_shadow(&mut self, l: Local, n: Option<InstanceId>) {
-        self.lane_mut().shadow_stack.top_mut().set(l.index(), n);
+        self.lane_mut().shadow_stack.set(l.index(), n);
     }
 
     fn new_instance(&mut self, at: InstrId) -> InstanceId {
@@ -365,7 +365,7 @@ impl Tracer for ConcreteProfiler {
         lane.shadow_stack.push(info.num_locals as usize);
         for i in 0..info.num_args as usize {
             let data = lane.pending_args.get(i).copied().flatten();
-            lane.shadow_stack.top_mut().set(i, data);
+            lane.shadow_stack.set(i, data);
         }
         lane.pending_args.clear();
     }

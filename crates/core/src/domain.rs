@@ -89,7 +89,7 @@ impl<D: AbstractDomain> AbstractProfiler<D> {
         if self.shadow_stack.depth() == 0 {
             return None;
         }
-        *self.shadow_stack.top().get(l.index())
+        *self.shadow_stack.get(l.index())
     }
 
     /// Consumes the profiler, returning the abstract graph and the domain.
@@ -98,11 +98,11 @@ impl<D: AbstractDomain> AbstractProfiler<D> {
     }
 
     fn shadow(&self, l: Local) -> Option<NodeId> {
-        *self.shadow_stack.top().get(l.index())
+        *self.shadow_stack.get(l.index())
     }
 
     fn set_shadow(&mut self, l: Local, n: Option<NodeId>) {
-        self.shadow_stack.top_mut().set(l.index(), n);
+        self.shadow_stack.set(l.index(), n);
     }
 
     fn kind_of(event: &Event) -> NodeKind {
@@ -239,7 +239,7 @@ impl<D: AbstractDomain> Tracer for AbstractProfiler<D> {
         self.shadow_stack.push(info.num_locals as usize);
         for i in 0..info.num_args as usize {
             let data = self.pending_args.get(i).copied().flatten();
-            self.shadow_stack.top_mut().set(i, data);
+            self.shadow_stack.set(i, data);
         }
         self.pending_args.clear();
         self.domain.frame_push(info);

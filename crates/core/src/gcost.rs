@@ -196,11 +196,18 @@ impl Default for CostGraphConfig {
 pub struct GraphBuilder {
     config: CostGraphConfig,
     graph: DepGraph<CostElem>,
-    /// Per-thread interpreter-shadow state, indexed by `ThreadId`. The
-    /// heap, statics, and graph are shared (the guest heap is shared);
-    /// stacks, contexts, and call plumbing are thread-local.
+    /// The running thread's state: the thread the stream is currently
+    /// delivering events for. The heap, statics, and graph are shared
+    /// (the guest heap is shared); stacks, contexts, and call plumbing
+    /// are thread-local.
+    run: ThreadState,
+    /// The running frame's encoded context chain, `run.contexts.current()`
+    /// kept in a field: every value-producing event reads it.
+    g: u64,
+    /// Parked threads' state, indexed by `ThreadId`; the running thread's
+    /// slot holds an empty placeholder while its state is in `run`.
     threads: Vec<ThreadState>,
-    /// The thread the stream is currently delivering events for.
+    /// The running thread's index.
     cur: usize,
     /// Actual-argument shadows stashed by a `Spawn`, consumed when the
     /// child thread's root frame is pushed (the cross-thread METHOD
@@ -230,13 +237,28 @@ pub struct GraphBuilder {
     /// The flat `|I| × |D|` interning table, when
     /// [`CostGraphConfig::dense_interning`] is on.
     dense: Option<DenseInterner>,
-    /// Per-instruction inline cache (`(g, node)` indexed by the dense
-    /// instruction index), when [`CostGraphConfig::inline_caches`] is on.
-    icache: Vec<(u64, NodeId)>,
-    /// Per-instruction edge cache beside `icache`: for operand `k` of a
-    /// Compute or Predicate instruction, the last `(src, dst)` edge it
-    /// added.
-    ecache: Vec<[(NodeId, NodeId); 2]>,
+    /// Per-instruction inline cache indexed by the dense instruction
+    /// index, when [`CostGraphConfig::inline_caches`] is on.
+    icache: Vec<CacheEntry>,
+}
+
+/// One static instruction's inline-cache entry: the node it last resolved
+/// to and the context `g` it resolved under (context-free nodes ignore
+/// `g`), and for operand `k` of a Compute or Predicate, the last
+/// `(src, dst)` edge that operand added.
+#[derive(Debug, Clone, Copy)]
+struct CacheEntry {
+    g: u64,
+    node: NodeId,
+    edges: [(NodeId, NodeId); 2],
+}
+
+impl CacheEntry {
+    const EMPTY: CacheEntry = CacheEntry {
+        g: 0,
+        node: IC_EMPTY,
+        edges: [(IC_EMPTY, IC_EMPTY); 2],
+    };
 }
 
 /// The thread-local slice of the builder's state: the shadow stack, the
@@ -244,7 +266,7 @@ pub struct GraphBuilder {
 /// [`thread_base`](crate::context::thread_base) so contexts from
 /// different threads never merge), and the call/return tracking plumbing
 /// — all of which follow one thread's control flow.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ThreadState {
     shadow_stack: ShadowStack<Option<NodeId>>,
     contexts: ContextStack,
@@ -267,16 +289,6 @@ impl ThreadState {
 /// node component is the sentinel; node ids are dense from 0 and a graph
 /// would need 2³²−1 nodes before colliding with it.
 const IC_EMPTY: NodeId = NodeId(u32::MAX);
-
-/// A fresh inline-cache table: one `empty` entry per static instruction
-/// when the caches are enabled, zero-length (never consulted) otherwise.
-fn new_cache<T: Clone>(enabled: bool, num_instrs: usize, empty: T) -> Vec<T> {
-    if enabled {
-        vec![empty; num_instrs]
-    } else {
-        Vec::new()
-    }
-}
 
 /// Builds the static control-dependence table consulted under
 /// [`CostGraphConfig::control_edges`].
@@ -316,16 +328,19 @@ impl GraphBuilder {
             // |D| = s context slots + NoCtx.
             DenseInterner::new(indexer.num_instrs(), config.slots as usize + 1)
         });
-        let icache = new_cache(config.inline_caches, indexer.num_instrs(), (0, IC_EMPTY));
-        let ecache = new_cache(
-            config.inline_caches,
-            indexer.num_instrs(),
-            [(IC_EMPTY, IC_EMPTY); 2],
-        );
+        // Zero-length (never consulted) when the caches are off.
+        let icache = if config.inline_caches {
+            vec![CacheEntry::EMPTY; indexer.num_instrs()]
+        } else {
+            Vec::new()
+        };
+        let run = ThreadState::new(ThreadId::MAIN);
         GraphBuilder {
             config,
             graph: DepGraph::new(),
-            threads: vec![ThreadState::new(ThreadId::MAIN)],
+            g: run.contexts.current(),
+            run,
+            threads: vec![ThreadState::default()],
             cur: 0,
             spawn_args: FxHashMap::default(),
             thread_rets: FxHashMap::default(),
@@ -342,26 +357,18 @@ impl GraphBuilder {
             indexer,
             dense,
             icache,
-            ecache,
         }
     }
 
-    /// The state of the thread currently delivering events.
-    fn st(&self) -> &ThreadState {
-        &self.threads[self.cur]
-    }
-
-    fn st_mut(&mut self) -> &mut ThreadState {
-        &mut self.threads[self.cur]
-    }
-
     /// Switches the builder to `tid`'s thread-local state, creating it
-    /// on first sight. A new thread's pending arguments are whatever the
-    /// spawning thread stashed for it. Idempotent for the current
-    /// thread, so callers may invoke it per segment unconditionally.
+    /// on first sight: the running thread's state is parked in its
+    /// `threads` slot and `tid`'s is moved into `run`. A new thread's
+    /// pending arguments are whatever the spawning thread stashed for
+    /// it. Idempotent for the current thread, so callers may invoke it
+    /// per segment unconditionally.
     pub fn thread(&mut self, tid: ThreadId) {
         let idx = tid.index();
-        if idx == self.cur && idx < self.threads.len() {
+        if idx == self.cur {
             return;
         }
         while self.threads.len() <= idx {
@@ -372,15 +379,31 @@ impl GraphBuilder {
             }
             self.threads.push(state);
         }
+        std::mem::swap(&mut self.run, &mut self.threads[self.cur]);
         self.cur = idx;
+        std::mem::swap(&mut self.run, &mut self.threads[idx]);
+        self.g = self.run.contexts.current();
     }
 
+    #[inline]
     fn shadow(&self, l: Local) -> Option<NodeId> {
-        *self.st().shadow_stack.top().get(l.index())
+        *self.run.shadow_stack.get(l.index())
     }
 
+    #[inline]
     fn set_shadow(&mut self, l: Local, n: Option<NodeId>) {
-        self.st_mut().shadow_stack.top_mut().set(l.index(), n);
+        self.run.shadow_stack.set(l.index(), n);
+    }
+
+    /// The inline-cache index of `at`, computed once per event (0 when
+    /// the caches are off: it is never used then).
+    #[inline]
+    fn cache_index(&self, at: InstrId) -> usize {
+        if self.config.inline_caches {
+            self.indexer.index(at)
+        } else {
+            0
+        }
     }
 
     /// Interns `(at, elem)` through the dense table when enabled, the
@@ -394,7 +417,8 @@ impl GraphBuilder {
         }
     }
 
-    /// Interns + bumps the node for `at` under the current context.
+    /// Interns + bumps the node for `at` (cache index `idx`) under the
+    /// current context.
     ///
     /// The inline cache short-circuits the monomorphic case: when `at`
     /// re-executes under the same encoded context `g` as last time, the
@@ -404,17 +428,18 @@ impl GraphBuilder {
     /// so only the frequency bump remains. Entries are never
     /// invalidated — nodes are append-only and a stale `g` just misses.
     #[inline]
-    fn ctx_node(&mut self, at: InstrId, kind: NodeKind) -> NodeId {
-        let g = self.st().contexts.current();
+    fn ctx_node(&mut self, idx: usize, at: InstrId, kind: NodeKind) -> NodeId {
+        let g = self.g;
         if self.config.inline_caches {
-            let idx = self.indexer.index(at);
-            let (cached_g, cached_n) = self.icache[idx];
-            if cached_n != IC_EMPTY && cached_g == g {
-                self.graph.bump(cached_n);
-                return cached_n;
+            let entry = &self.icache[idx];
+            if entry.node != IC_EMPTY && entry.g == g {
+                let n = entry.node;
+                self.graph.bump(n);
+                return n;
             }
             let n = self.ctx_node_slow(at, kind, g);
-            self.icache[idx] = (g, n);
+            let entry = &mut self.icache[idx];
+            (entry.g, entry.node) = (g, n);
             return n;
         }
         self.ctx_node_slow(at, kind, g)
@@ -438,9 +463,22 @@ impl GraphBuilder {
         n
     }
 
-    /// Interns + bumps a context-free consumer node.
-    fn consumer_node(&mut self, at: InstrId, kind: NodeKind) -> NodeId {
+    /// Interns + bumps a context-free consumer node. Its node never
+    /// changes, so once the cache entry holds it the interning table is
+    /// skipped.
+    #[inline]
+    fn consumer_node(&mut self, idx: usize, at: InstrId, kind: NodeKind) -> NodeId {
+        if self.config.inline_caches {
+            let cached = self.icache[idx].node;
+            if cached != IC_EMPTY {
+                self.graph.bump(cached);
+                return cached;
+            }
+        }
         let n = self.intern(at, CostElem::NoCtx, kind);
+        if self.config.inline_caches {
+            self.icache[idx].node = n;
+        }
         self.graph.bump(n);
         n
     }
@@ -462,14 +500,15 @@ impl GraphBuilder {
     }
 
     /// [`edge_from_shadow`](Self::edge_from_shadow) for operand `k` of
-    /// `at`, through the edge cache: an operand that adds the same edge
-    /// as last time skips the edge-set insert. Edges are idempotent and
-    /// never removed, so the skip leaves the graph unchanged.
+    /// the instruction at cache index `idx`, through its cache entry: an
+    /// operand that adds the same edge as last time skips the edge-set
+    /// insert. Edges are idempotent and never removed, so the skip leaves
+    /// the graph unchanged.
     #[inline]
-    fn operand_edge(&mut self, at: InstrId, k: usize, src: Option<NodeId>, to: NodeId) {
+    fn operand_edge(&mut self, idx: usize, k: usize, src: Option<NodeId>, to: NodeId) {
         let Some(m) = src else { return };
         if self.config.inline_caches {
-            let last = &mut self.ecache[self.indexer.index(at)][k];
+            let last = &mut self.icache[idx].edges[k];
             if *last == (m, to) {
                 return;
             }
@@ -524,8 +563,8 @@ impl GraphBuilder {
             // Keep call/return plumbing from leaking stale data across an
             // armed/disarmed boundary.
             match event {
-                Event::Call { .. } => self.st_mut().pending_args.clear(),
-                Event::Return { .. } => self.st_mut().ret_stash = None,
+                Event::Call { .. } => self.run.pending_args.clear(),
+                Event::Return { .. } => self.run.ret_stash = None,
                 _ => {}
             }
             return;
@@ -542,18 +581,20 @@ impl GraphBuilder {
                 uses,
                 value: _,
             } => {
-                let n = self.ctx_node(*at, NodeKind::Plain);
+                let idx = self.cache_index(*at);
+                let n = self.ctx_node(idx, *at, NodeKind::Plain);
                 for (k, u) in uses.iter().enumerate() {
                     if let Some(u) = u {
-                        self.operand_edge(*at, k, self.shadow(*u), n);
+                        self.operand_edge(idx, k, self.shadow(*u), n);
                     }
                 }
                 self.set_shadow(*dst, Some(n));
             }
             Event::Predicate { at, uses, .. } => {
-                let n = self.consumer_node(*at, NodeKind::Predicate);
+                let idx = self.cache_index(*at);
+                let n = self.consumer_node(idx, *at, NodeKind::Predicate);
                 for (k, u) in uses.iter().enumerate() {
-                    self.operand_edge(*at, k, self.shadow(*u), n);
+                    self.operand_edge(idx, k, self.shadow(*u), n);
                 }
             }
             Event::Alloc {
@@ -563,12 +604,12 @@ impl GraphBuilder {
                 site,
                 len_use,
             } => {
-                let n = self.ctx_node(*at, NodeKind::Alloc);
+                let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::Alloc);
                 if let Some(l) = len_use {
                     self.edge_from_shadow(self.shadow(*l), n);
                 }
                 self.set_shadow(*dst, Some(n));
-                let slot = slot_of(self.st().contexts.current(), self.config.slots);
+                let slot = slot_of(self.g, self.config.slots);
                 let tag = TaggedSite { site: *site, slot };
                 self.shadow_heap.on_alloc(*object, 0, Some(tag));
                 self.alloc_nodes.insert(tag, n);
@@ -583,7 +624,7 @@ impl GraphBuilder {
                 offset,
                 ..
             } => {
-                let n = self.ctx_node(*at, NodeKind::HeapLoad);
+                let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::HeapLoad);
                 let src = self.shadow_heap.get(*object, *offset as usize);
                 self.edge_from_shadow(src, n);
                 if self.config.traditional_uses {
@@ -610,7 +651,7 @@ impl GraphBuilder {
                 value,
                 ..
             } => {
-                let n = self.ctx_node(*at, NodeKind::HeapStore);
+                let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::HeapStore);
                 self.edge_from_shadow(self.shadow(*src), n);
                 if self.config.traditional_uses {
                     self.edge_from_shadow(self.shadow(*base), n);
@@ -619,14 +660,14 @@ impl GraphBuilder {
                 self.store_common(n, *object, FieldKey::Field(*field), *value);
             }
             Event::LoadStatic { at, dst, field, .. } => {
-                let n = self.ctx_node(*at, NodeKind::HeapLoad);
+                let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::HeapLoad);
                 let src = self.shadow_statics.get(field.index()).copied().flatten();
                 self.edge_from_shadow(src, n);
                 self.set_shadow(*dst, Some(n));
                 self.set_effect(n, HeapEffect::LoadStatic(*field));
             }
             Event::StoreStatic { at, field, src, .. } => {
-                let n = self.ctx_node(*at, NodeKind::HeapStore);
+                let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::HeapStore);
                 self.edge_from_shadow(self.shadow(*src), n);
                 if self.shadow_statics.len() <= field.index() {
                     self.shadow_statics.resize(field.index() + 1, None);
@@ -643,7 +684,7 @@ impl GraphBuilder {
                 index,
                 ..
             } => {
-                let n = self.ctx_node(*at, NodeKind::HeapLoad);
+                let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::HeapLoad);
                 self.edge_from_shadow(self.shadow(*idx), n);
                 if self.config.traditional_uses {
                     self.edge_from_shadow(self.shadow(*base), n);
@@ -671,7 +712,7 @@ impl GraphBuilder {
                 value,
                 ..
             } => {
-                let n = self.ctx_node(*at, NodeKind::HeapStore);
+                let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::HeapStore);
                 self.edge_from_shadow(self.shadow(*idx), n);
                 if self.config.traditional_uses {
                     self.edge_from_shadow(self.shadow(*base), n);
@@ -687,7 +728,7 @@ impl GraphBuilder {
                 object,
                 ..
             } => {
-                let n = self.ctx_node(*at, NodeKind::HeapLoad);
+                let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::HeapLoad);
                 if self.config.traditional_uses {
                     self.edge_from_shadow(self.shadow(*base), n);
                 }
@@ -707,16 +748,16 @@ impl GraphBuilder {
                 self.set_shadow(*dst, Some(n));
             }
             Event::Call { args, .. } => {
-                let syms: Vec<Option<NodeId>> = args.iter().map(|a| self.shadow(*a)).collect();
-                let st = self.st_mut();
-                st.pending_args.clear();
-                st.pending_args.extend(syms);
+                let run = &mut self.run;
+                run.pending_args.clear();
+                run.pending_args
+                    .extend(args.iter().map(|a| *run.shadow_stack.get(a.index())));
             }
             Event::Return { src, .. } => {
-                self.st_mut().ret_stash = src.and_then(|s| self.shadow(s));
+                self.run.ret_stash = src.and_then(|s| self.shadow(s));
             }
             Event::CallComplete { dst, .. } => {
-                let stash = self.st_mut().ret_stash.take();
+                let stash = self.run.ret_stash.take();
                 if let Some(d) = dst {
                     self.set_shadow(*d, stash);
                 }
@@ -731,7 +772,7 @@ impl GraphBuilder {
                 // The handle is a fresh value produced here; the actuals
                 // flow to the child thread's formals (rule METHOD ENTRY,
                 // across threads), not into the handle.
-                let n = self.ctx_node(*at, NodeKind::Plain);
+                let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::Plain);
                 let syms: Vec<Option<NodeId>> = args.iter().map(|a| self.shadow(*a)).collect();
                 self.spawn_args.insert(thread.0, syms);
                 self.set_shadow(*dst, Some(n));
@@ -742,7 +783,7 @@ impl GraphBuilder {
                 // The joined value depends on the node that produced the
                 // child thread's return value (recorded at its root
                 // frame pop — join blocks until then).
-                let n = self.ctx_node(*at, NodeKind::Plain);
+                let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::Plain);
                 let ret = self.thread_rets.get(&thread.0).copied().flatten();
                 self.edge_from_shadow(ret, n);
                 if let Some(d) = dst {
@@ -750,7 +791,8 @@ impl GraphBuilder {
                 }
             }
             Event::Native { at, args, dst, .. } => {
-                let n = self.consumer_node(*at, NodeKind::Native);
+                let idx = self.cache_index(*at);
+                let n = self.consumer_node(idx, *at, NodeKind::Native);
                 for a in args {
                     self.edge_from_shadow(self.shadow(*a), n);
                 }
@@ -769,27 +811,29 @@ impl GraphBuilder {
             .receiver
             .and_then(|o| self.shadow_heap.tag(o))
             .map(|t| t.site);
-        let st = self.st_mut();
-        st.contexts.push(receiver_site);
-        st.shadow_stack.push(info.num_locals as usize);
+        let run = &mut self.run;
+        run.contexts.push(receiver_site);
+        self.g = run.contexts.current();
+        run.shadow_stack.push(info.num_locals as usize);
         // Formals receive the tracking data of the actuals (rule METHOD
         // ENTRY); main's entry frame has no actuals, and a spawned
         // thread's root frame receives the `Spawn`'s stashed actuals.
         for i in 0..info.num_args as usize {
-            let data = st.pending_args.get(i).copied().flatten();
-            st.shadow_stack.top_mut().set(i, data);
+            let data = run.pending_args.get(i).copied().flatten();
+            run.shadow_stack.set(i, data);
         }
-        st.pending_args.clear();
+        run.pending_args.clear();
     }
 
     /// Consumes a frame pop. Popping a thread's root frame records the
     /// return-value node for a later `Join`.
     pub fn frame_pop(&mut self) {
-        let st = self.st_mut();
-        st.shadow_stack.pop();
-        st.contexts.pop();
-        if st.shadow_stack.depth() == 0 {
-            let ret = st.ret_stash.take();
+        let run = &mut self.run;
+        run.shadow_stack.pop();
+        run.contexts.pop();
+        self.g = run.contexts.current();
+        if run.shadow_stack.depth() == 0 {
+            let ret = run.ret_stash.take();
             self.thread_rets.insert(self.cur as u32, ret);
         }
     }

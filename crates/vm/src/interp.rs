@@ -181,11 +181,15 @@ impl fmt::Display for Trap {
 
 impl Error for Trap {}
 
+/// One activation. Its locals are the window `[base, base + num_locals)`
+/// of its thread's slot array. While the frame runs, its `pc` lives in
+/// the dispatch loop and this field is stale; it is written back when the
+/// thread parks, blocks on a join or calls.
 #[derive(Debug)]
 struct Frame {
     method: MethodId,
     pc: Pc,
-    locals: Vec<Value>,
+    base: usize,
     /// Where the caller wants the return value.
     ret_dst: Option<Local>,
     /// The call instruction in the caller.
@@ -203,13 +207,16 @@ enum ThreadStatus {
     Finished(Option<Value>),
 }
 
-/// One guest thread: a private call stack plus scheduling state. Registers
-/// (locals) live in the frames; the heap and statics are shared.
+/// One guest thread: a private call stack and slot array plus scheduling
+/// state; the heap and statics are shared.
 #[derive(Debug)]
 struct GuestThread {
     /// The thread's frames while it is parked; empty while it runs (the
     /// running thread's frames live in `Interp::stack`).
     stack: Vec<Frame>,
+    /// The thread's locals while it is parked, every frame's window end
+    /// to end; empty while it runs (see `Interp::locals`).
+    locals: Vec<Value>,
     status: ThreadStatus,
     /// Entry method and argument values, pushed as the root frame the
     /// first time the scheduler runs this thread (so the tracer sees the
@@ -304,6 +311,8 @@ impl<'p> Vm<'p> {
             heap: Heap::new(),
             threads: Vec::new(),
             stack: Vec::new(),
+            locals: Vec::new(),
+            fp: 0,
             cur: 0,
             executed: 0,
             in_phase: 0,
@@ -325,6 +334,10 @@ struct Interp<'p> {
     /// The running thread's call stack, swapped with its
     /// `threads[cur].stack` slot only when the scheduler switches threads.
     stack: Vec<Frame>,
+    /// The running thread's slot array, swapped like `stack`.
+    locals: Vec<Value>,
+    /// The running frame's base in `locals`.
+    fp: usize,
     /// Index of the currently scheduled thread.
     cur: usize,
     executed: u64,
@@ -339,10 +352,13 @@ impl<'p> Interp<'p> {
         Trap { kind, at }
     }
 
+    /// Opens `method`'s window on top of the running thread's slot array
+    /// and makes it the running frame: its first slots receive `args`,
+    /// the rest start null.
     fn push_frame<T: Tracer>(
         &mut self,
         method: MethodId,
-        arg_values: &[Value],
+        args: Args<'_>,
         ret_dst: Option<Local>,
         call_site: Option<InstrId>,
         tracer: &mut T,
@@ -351,27 +367,43 @@ impl<'p> Interp<'p> {
             return Err(TrapKind::StackOverflow);
         }
         let m = self.program.method(method);
-        let mut locals = vec![Value::Null; m.num_locals() as usize];
-        locals[..arg_values.len()].copy_from_slice(arg_values);
-        let receiver = if m.class().is_some() {
-            arg_values.first().and_then(|v| v.as_ref_id())
+        let base = self.locals.len();
+        self.locals
+            .resize(base + m.num_locals() as usize, Value::Null);
+        let num_args = match args {
+            Args::Values(values) => {
+                self.locals[base..base + values.len()].copy_from_slice(values);
+                values.len()
+            }
+            Args::Locals(locals) => {
+                // The caller's window lies below `base`, so no argument
+                // is overwritten before it is read.
+                for (i, l) in locals.iter().enumerate() {
+                    self.locals[base + i] = self.locals[self.fp + l.index()];
+                }
+                locals.len()
+            }
+        };
+        let receiver = if m.class().is_some() && num_args > 0 {
+            self.locals[base].as_ref_id()
         } else {
             None
         };
         self.stack.push(Frame {
             method,
             pc: 0,
-            locals,
+            base,
             ret_dst,
             call_site,
         });
+        self.fp = base;
         tracer.frame_push(&FrameInfo {
             method,
             call_site,
             num_params: m.num_params(),
             num_locals: m.num_locals(),
             receiver,
-            num_args: arg_values.len() as u16,
+            num_args: num_args as u16,
         });
         Ok(())
     }
@@ -384,6 +416,7 @@ impl<'p> Interp<'p> {
     ) -> Result<RunOutcome, Trap> {
         self.threads.push(GuestThread {
             stack: Vec::new(),
+            locals: Vec::new(),
             status: ThreadStatus::Runnable,
             start: Some((entry, args.to_vec())),
         });
@@ -410,9 +443,10 @@ impl<'p> Interp<'p> {
                     Some(t) => {
                         if t != self.cur {
                             tracer.thread(ThreadId(t as u32));
-                            mem::swap(&mut self.stack, &mut self.threads[self.cur].stack);
+                            self.swap_thread();
                             self.cur = t;
-                            mem::swap(&mut self.stack, &mut self.threads[t].stack);
+                            self.swap_thread();
+                            self.fp = self.stack.last().map_or(0, |f| f.base);
                         }
                         quantum = rng.quantum();
                     }
@@ -445,20 +479,24 @@ impl<'p> Interp<'p> {
                 }
             }
             if let Some((m, start_args)) = self.threads[self.cur].start.take() {
-                self.push_frame(m, &start_args, None, None, tracer)
+                self.push_frame(m, Args::Values(&start_args), None, None, tracer)
                     .map_err(|k| self.trap(InstrId::new(m, 0), k))?;
             }
 
             // Run the current thread until its quantum expires, it blocks
             // on a join, its root frame returns, or it traps; only those
-            // can change which thread the scheduler picks.
+            // can change which thread the scheduler picks. The running
+            // frame's method, body and pc live in these locals, and the
+            // pc goes back to the frame only when the thread parks,
+            // blocks or calls.
+            let (mut method, mut pc) = {
+                let f = self.stack.last().expect("non-empty stack");
+                (f.method, f.pc)
+            };
+            let mut body = program.method(method).body();
             loop {
-                let (method, pc) = {
-                    let f = self.stack.last().expect("non-empty stack");
-                    (f.method, f.pc)
-                };
                 let at = InstrId::new(method, pc);
-                let instr = program.instr(at);
+                let instr = &body[pc as usize];
                 // A join whose target has not finished blocks *without*
                 // executing: the attempt is not counted and emits no
                 // event, so instruction totals and traces stay
@@ -467,6 +505,8 @@ impl<'p> Interp<'p> {
                     let tid = self.thread_handle(*thread).map_err(|k| self.trap(at, k))?;
                     if !matches!(self.threads[tid.index()].status, ThreadStatus::Finished(_)) {
                         self.threads[self.cur].status = ThreadStatus::Blocked { on: tid.0 };
+                        // The deadlock check reads a blocked frame's pc.
+                        self.park(pc);
                         continue 'sched;
                     }
                 }
@@ -479,19 +519,22 @@ impl<'p> Interp<'p> {
                     self.in_phase += 1;
                 }
                 match self.step(at, instr, tracer) {
-                    Ok(Step::Next) => {
-                        self.stack.last_mut().expect("frame").pc = pc + 1;
-                    }
-                    Ok(Step::Jump(target)) => {
-                        self.stack.last_mut().expect("frame").pc = target;
-                    }
+                    Ok(Step::Next) => pc += 1,
+                    Ok(Step::Jump(target)) => pc = target,
                     Ok(Step::Enter) => {
-                        // Frame already pushed; new frame starts at pc 0.
+                        // The callee is on top; the caller resumes from
+                        // its frame's pc when the callee returns.
+                        let n = self.stack.len();
+                        self.stack[n - 2].pc = pc;
+                        method = self.stack[n - 1].method;
+                        body = program.method(method).body();
+                        pc = 0;
                     }
                     Ok(Step::Leave(value)) => {
                         let frame = self.stack.pop().expect("frame");
+                        self.locals.truncate(frame.base);
                         tracer.frame_pop();
-                        let Some(caller) = self.stack.last_mut() else {
+                        let Some(caller) = self.stack.last() else {
                             // Root frame returned: the thread is done, and
                             // its joiners can run again.
                             if self.cur == 0 {
@@ -506,11 +549,14 @@ impl<'p> Interp<'p> {
                             }
                             continue 'sched;
                         };
+                        (method, pc) = (caller.method, caller.pc + 1);
+                        self.fp = caller.base;
+                        body = program.method(method).body();
                         let call_at = frame.call_site.expect("non-entry frame has call site");
                         let dst = frame.ret_dst;
                         if let Some(d) = dst {
                             match value {
-                                Some(v) => caller.locals[d.index()] = v,
+                                Some(v) => self.set_local(d, v),
                                 None => {
                                     return Err(self.trap(
                                         call_at,
@@ -526,11 +572,11 @@ impl<'p> Interp<'p> {
                             dst,
                             value,
                         });
-                        caller.pc = call_at.pc + 1;
                     }
                     Err(kind) => return Err(self.trap(at, kind)),
                 }
                 if quantum == 0 {
+                    self.park(pc);
                     continue 'sched;
                 }
             }
@@ -545,12 +591,28 @@ impl<'p> Interp<'p> {
         })
     }
 
-    fn local(&self, l: Local) -> Value {
-        self.stack.last().expect("frame").locals[l.index()]
+    /// Writes the running frame's `pc` back to it, for whoever reads the
+    /// frame while the thread is off the dispatch loop.
+    fn park(&mut self, pc: Pc) {
+        self.stack.last_mut().expect("frame").pc = pc;
     }
 
+    /// Swaps the running thread's frames and slot array with
+    /// `threads[cur]`'s parked ones.
+    fn swap_thread(&mut self) {
+        let parked = &mut self.threads[self.cur];
+        mem::swap(&mut self.stack, &mut parked.stack);
+        mem::swap(&mut self.locals, &mut parked.locals);
+    }
+
+    #[inline]
+    fn local(&self, l: Local) -> Value {
+        self.locals[self.fp + l.index()]
+    }
+
+    #[inline]
     fn set_local(&mut self, l: Local, v: Value) {
-        self.stack.last_mut().expect("frame").locals[l.index()] = v;
+        self.locals[self.fp + l.index()] = v;
     }
 
     /// Decodes a thread handle held in a local.
@@ -851,13 +913,12 @@ impl<'p> Interp<'p> {
                         found: args.len(),
                     });
                 }
-                let arg_values: Vec<Value> = args.iter().map(|&a| self.local(a)).collect();
                 tracer.instr(&Event::Call {
                     at,
                     callee: target,
                     args: args.clone(),
                 });
-                self.push_frame(target, &arg_values, *dst, Some(at), tracer)?;
+                self.push_frame(target, Args::Locals(args), *dst, Some(at), tracer)?;
                 Ok(Step::Enter)
             }
             Instr::CallNative { dst, native, args } => {
@@ -909,6 +970,7 @@ impl<'p> Interp<'p> {
                 let tid = ThreadId(self.threads.len() as u32);
                 self.threads.push(GuestThread {
                     stack: Vec::new(),
+                    locals: Vec::new(),
                     status: ThreadStatus::Runnable,
                     start: Some((*callee, arg_values)),
                 });
@@ -992,6 +1054,14 @@ impl<'p> Interp<'p> {
         }
         self.statics[field.index()] = v;
     }
+}
+
+/// Where a new frame's arguments come from.
+enum Args<'a> {
+    /// A thread's start values.
+    Values(&'a [Value]),
+    /// Locals of the running frame, the caller.
+    Locals(&'a [Local]),
 }
 
 enum Step {
@@ -1105,6 +1175,7 @@ fn eval_cmp(op: CmpOp, a: Value, b: Value) -> Result<bool, TrapKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sink::{CountingSink, SinkTracer};
     use crate::tracer::{CountingTracer, NullTracer};
     use lowutil_ir::{ConstValue, ProgramBuilder};
 
@@ -1324,8 +1395,12 @@ method main/0 {
                 ..RunConfig::default()
             },
         );
-        let e = vm.run(&mut NullTracer).unwrap_err();
+        let mut frames = SinkTracer(CountingSink::new());
+        let e = vm.run(&mut frames).unwrap_err();
         assert_eq!(e.kind, TrapKind::StackOverflow);
+        // The 64th frame's call is the one that overflows.
+        assert_eq!(e.at, site(&p, "main", 0));
+        assert_eq!((frames.0.pushes, frames.0.pops), (64, 0));
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   instruction, carrying exactly the def/use information the paper's
 //!   instrumentation rules (Figure 4) consume,
 //! * tags every heap object with its allocation site,
-//! * provides reusable [`ShadowHeap`]/[`ShadowStack`]/[`TrackingStack`]
-//!   building blocks mirroring the paper's shadow-memory machinery, and
+//! * provides reusable [`ShadowHeap`]/[`ShadowStack`] building blocks
+//!   mirroring the paper's shadow-memory machinery, and
 //! * supports *phase markers* so profiling can be limited to a steady-state
 //!   portion of a run (the paper's 5–10× overhead reduction mode).
 //!
@@ -55,7 +55,7 @@ pub use event::{Event, FrameInfo};
 pub use heap::{Heap, HeapObject};
 pub use interp::{RunConfig, RunOutcome, Trap, TrapKind, Vm};
 pub use natives::{NativeKind, NativeRegistry, UnknownNativeError};
-pub use shadow::{ShadowFrame, ShadowHeap, ShadowStack, TrackingStack};
+pub use shadow::{ShadowHeap, ShadowStack};
 pub use sink::{CountingSink, EventSink, SinkTracer, TracerSink};
 pub use trace::{
     SalvageStats, StreamingReader, TraceError, TraceReader, TraceStats, TraceWriter, Trailer,

@@ -4,9 +4,13 @@
 //! The paper (§2.3) associates a shadow location with every storage
 //! location: shadow locals live on a shadow stack aligned with the call
 //! stack, and heap locations are shadowed by a *shadow heap* of the same
-//! shape as the Java heap. A *tracking stack* passes tracking data for
-//! actual parameters and return values across calls, together with the
-//! caller's receiver-object context chain.
+//! shape as the Java heap.
+//!
+//! The shadow stack has the interpreter's frame layout: one contiguous
+//! slot array per guest thread, each frame a window `[base, base + n)`
+//! of it, and the top frame's base held in a field so a slot read is one
+//! index. A push appends a window (`n` may be 0), a pop truncates the
+//! array back to the caller's window.
 //!
 //! These structures are generic over the payload `T` (dependence-graph node
 //! references for the cost analyses; origin records for copy profiling) so
@@ -14,81 +18,66 @@
 
 use lowutil_ir::ObjectId;
 
-/// Shadow storage for one frame's locals.
-#[derive(Debug, Clone)]
-pub struct ShadowFrame<T> {
-    slots: Vec<T>,
-}
-
-impl<T: Clone + Default> ShadowFrame<T> {
-    /// Creates a frame with `num_locals` default-initialized shadow slots.
-    pub fn new(num_locals: usize) -> Self {
-        ShadowFrame {
-            slots: vec![T::default(); num_locals],
-        }
-    }
-
-    /// Reads a shadow slot.
-    ///
-    /// # Panics
-    /// Panics if `slot` is out of range (a VM bug, not a program bug).
-    pub fn get(&self, slot: usize) -> &T {
-        &self.slots[slot]
-    }
-
-    /// Writes a shadow slot.
-    ///
-    /// # Panics
-    /// Panics if `slot` is out of range.
-    pub fn set(&mut self, slot: usize, value: T) {
-        self.slots[slot] = value;
-    }
-}
-
-/// A stack of [`ShadowFrame`]s aligned with the VM call stack.
+/// Shadow locals for one guest thread's call stack: one flat slot array,
+/// each frame a window of it, aligned with the VM's frames.
 #[derive(Debug, Clone, Default)]
 pub struct ShadowStack<T> {
-    frames: Vec<ShadowFrame<T>>,
+    slots: Vec<T>,
+    /// The base of every frame below the top, outermost first.
+    bases: Vec<usize>,
+    /// The top frame's base (0 while the stack is empty).
+    fp: usize,
 }
 
 impl<T: Clone + Default> ShadowStack<T> {
     /// Creates an empty shadow stack.
     pub fn new() -> Self {
-        ShadowStack { frames: Vec::new() }
+        Self::default()
     }
 
-    /// Pushes a frame with `num_locals` shadow slots.
+    /// Pushes a frame with `num_locals` default-initialized shadow slots.
+    #[inline]
     pub fn push(&mut self, num_locals: usize) {
-        self.frames.push(ShadowFrame::new(num_locals));
+        self.bases.push(self.fp);
+        self.fp = self.slots.len();
+        self.slots.resize(self.fp + num_locals, T::default());
     }
 
-    /// Pops the top frame.
+    /// Pops the top frame, dropping its slots.
     ///
     /// # Panics
     /// Panics if the stack is empty.
+    #[inline]
     pub fn pop(&mut self) {
-        self.frames.pop().expect("shadow stack underflow");
+        let caller = self.bases.pop().expect("shadow stack underflow");
+        self.slots.truncate(self.fp);
+        self.fp = caller;
     }
 
-    /// The current (top) frame.
+    /// Reads slot `slot` of the top frame.
     ///
     /// # Panics
-    /// Panics if the stack is empty.
-    pub fn top(&self) -> &ShadowFrame<T> {
-        self.frames.last().expect("shadow stack empty")
+    /// Panics if the stack is empty or `slot` lies past the top frame's
+    /// window (a VM or trace bug, not a program bug).
+    #[inline]
+    pub fn get(&self, slot: usize) -> &T {
+        &self.slots[self.fp + slot]
     }
 
-    /// The current (top) frame, mutably.
+    /// Writes slot `slot` of the top frame.
     ///
     /// # Panics
-    /// Panics if the stack is empty.
-    pub fn top_mut(&mut self) -> &mut ShadowFrame<T> {
-        self.frames.last_mut().expect("shadow stack empty")
+    /// Panics if the stack is empty or `slot` lies past the top frame's
+    /// window.
+    #[inline]
+    pub fn set(&mut self, slot: usize, value: T) {
+        self.slots[self.fp + slot] = value;
     }
 
     /// Current stack depth.
+    #[inline]
     pub fn depth(&self) -> usize {
-        self.frames.len()
+        self.bases.len()
     }
 }
 
@@ -161,56 +150,56 @@ impl<T: Clone + Default, Tag: Clone> ShadowHeap<T, Tag> {
     }
 }
 
-/// The tracking stack: passes tracking data for actuals/returns across
-/// calls, and the caller's context chain (rule METHOD ENTRY / RETURN).
-#[derive(Debug, Clone, Default)]
-pub struct TrackingStack<T> {
-    items: Vec<T>,
-}
-
-impl<T> TrackingStack<T> {
-    /// Creates an empty tracking stack.
-    pub fn new() -> Self {
-        TrackingStack { items: Vec::new() }
-    }
-
-    /// Pushes tracking data (an actual parameter, a return value, or a
-    /// context word).
-    pub fn push(&mut self, item: T) {
-        self.items.push(item);
-    }
-
-    /// Pops the most recent item.
-    pub fn pop(&mut self) -> Option<T> {
-        self.items.pop()
-    }
-
-    /// Current number of items.
-    pub fn len(&self) -> usize {
-        self.items.len()
-    }
-
-    /// Returns `true` if the stack is empty.
-    pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Whether reading `slot` of `s`'s top frame panics.
+    fn read_panics(s: &ShadowStack<u32>, slot: usize) -> bool {
+        std::panic::catch_unwind(|| *s.get(slot)).is_err()
+    }
+
     #[test]
     fn shadow_stack_aligns_with_frames() {
         let mut s: ShadowStack<u32> = ShadowStack::new();
+        assert!(read_panics(&s, 0), "no frame, no slots");
+        s.push(3);
+        for slot in 0..3 {
+            s.set(slot, 10 + slot as u32);
+        }
+        assert!(read_panics(&s, 3), "a read past the top window panics");
+        // A zero-slot frame counts as a frame and exposes no slot, even
+        // with its caller's slots below it.
+        s.push(0);
+        assert_eq!(s.depth(), 2);
+        assert!(read_panics(&s, 0));
         s.push(2);
-        s.top_mut().set(0, 7);
-        s.push(1);
-        assert_eq!(*s.top().get(0), 0);
-        s.top_mut().set(0, 9);
+        assert_eq!(
+            (*s.get(0), *s.get(1)),
+            (0, 0),
+            "a new window starts at default"
+        );
+        assert!(read_panics(&s, 2));
+        s.set(1, 99);
         s.pop();
-        assert_eq!(*s.top().get(0), 7);
+        s.pop();
         assert_eq!(s.depth(), 1);
+        let caller: Vec<u32> = (0..3).map(|slot| *s.get(slot)).collect();
+        assert_eq!(caller, [10, 11, 12], "a pop restores the caller's slots");
+        // A re-pushed window does not see the popped frame's writes.
+        s.push(2);
+        assert_eq!(*s.get(1), 0);
+        s.pop();
+        s.pop();
+        assert_eq!(s.depth(), 0);
+        assert!(read_panics(&s, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "shadow stack underflow")]
+    fn shadow_stack_pop_of_an_empty_stack_panics() {
+        let mut s: ShadowStack<u32> = ShadowStack::new();
+        s.pop();
     }
 
     #[test]
@@ -224,17 +213,5 @@ mod tests {
         assert_eq!(h.get(o, 3), 42);
         assert_eq!(h.tag(o), "site0");
         assert!(h.approx_bytes() > 0);
-    }
-
-    #[test]
-    fn tracking_stack_is_lifo() {
-        let mut t = TrackingStack::new();
-        assert!(t.is_empty());
-        t.push(1);
-        t.push(2);
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.pop(), Some(2));
-        assert_eq!(t.pop(), Some(1));
-        assert_eq!(t.pop(), None);
     }
 }

@@ -1203,13 +1203,13 @@ impl<'a> Segment<'a> {
         self.decode(sink, |_, _| None)
     }
 
-    /// [`replay`](Self::replay), asking `refuse` about each decoded event
-    /// before the sink sees it: `Some(message)` fails the decode at the
-    /// start of that record.
+    /// [`replay`](Self::replay), asking `refuse` about each decoded frame
+    /// pop and event before the sink sees it: `Some(message)` fails the
+    /// decode at the start of that record.
     fn decode<S: EventSink>(
         &self,
         sink: &mut S,
-        refuse: impl Fn(&S, &Event) -> Option<String>,
+        refuse: impl Fn(&S, Decoded) -> Option<String>,
     ) -> Result<(), TraceError> {
         let mut c = Cur::new(self.payload, self.payload_offset);
         while !c.done() {
@@ -1228,7 +1228,13 @@ impl<'a> Segment<'a> {
                         receiver: get_opt_object(c)?,
                         num_args: c.u16()?,
                     }),
-                    OP_FRAME_POP => sink.frame_pop(),
+                    OP_FRAME_POP => {
+                        if let Some(message) = refuse(sink, Decoded::Pop) {
+                            c.pos = start;
+                            return c.fail(message);
+                        }
+                        sink.frame_pop()
+                    }
                     op => {
                         let event = match op {
                             OP_COMPUTE => Event::Compute {
@@ -1347,7 +1353,7 @@ impl<'a> Segment<'a> {
                             },
                             _ => return c.fail(format!("invalid record opcode {op}")),
                         };
-                        if let Some(message) = refuse(sink, &event) {
+                        if let Some(message) = refuse(sink, Decoded::Event(&event)) {
                             c.pos = start;
                             return c.fail(message);
                         }
@@ -1359,6 +1365,15 @@ impl<'a> Segment<'a> {
         }
         Ok(())
     }
+}
+
+/// A decoded record as [`Segment::decode`]'s `refuse` sees it.
+#[derive(Clone, Copy)]
+enum Decoded<'e> {
+    /// A frame pop.
+    Pop,
+    /// An instruction event.
+    Event(&'e Event),
 }
 
 /// Decodes a segment prologue from its carved-out byte range. Only v3
@@ -1540,7 +1555,7 @@ fn parse_header(c: &mut Cur) -> Result<u64, TraceError> {
 
 /// The verified prefix salvage and the streaming reader grow segment by
 /// segment: the writer's totals so far and what the next segment must match.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Default)]
 struct PrefixCounts {
     events: u64,
     instructions: u64,
@@ -1552,6 +1567,12 @@ struct PrefixCounts {
     segments: u64,
     /// The last segment's thread; a switch is announced only on change.
     thread: ThreadId,
+    /// Frames open on `thread`, counted from the stream's own pushes and
+    /// pops (never from a prologue): the VM emits every record inside a
+    /// frame and pops only open frames.
+    depth: u64,
+    /// Frames open on each other thread, indexed by thread id.
+    parked: Vec<u64>,
 }
 
 impl PrefixCounts {
@@ -1585,22 +1606,48 @@ impl PrefixCounts {
                 ),
             });
         }
+        let mut counts = self.clone();
         if t != self.thread {
             sink.thread(t);
+            counts.switch(t);
         }
-        let mut both = (*self, sink);
-        seg.decode(&mut both, |(counts, _), e| counts.refuse(e))?;
+        let mut both = (counts, sink);
+        seg.decode(&mut both, |(counts, _), rec| counts.refuse(rec))?;
         *self = both.0;
         self.segments += 1;
-        self.thread = t;
         Ok(())
     }
 
+    /// Parks the current thread's frame depth and takes up `t`'s.
+    fn switch(&mut self, t: ThreadId) {
+        let need = self.thread.index().max(t.index()) + 1;
+        if self.parked.len() < need {
+            self.parked.resize(need, 0);
+        }
+        self.parked[self.thread.index()] = self.depth;
+        self.depth = self.parked[t.index()];
+        self.thread = t;
+    }
+
     /// The VM numbers objects densely: the k-th `Alloc` carries object k.
+    /// It pops only open frames, and every record naming a local (all
+    /// but `Jump` and `Phase`) runs inside a frame: a consumer indexes
+    /// the top frame's slots with it.
     #[inline]
-    fn refuse(&self, event: &Event) -> Option<String> {
-        match event {
-            Event::Alloc { object, .. } if u64::from(object.0) != self.objects_allocated => {
+    fn refuse(&self, rec: Decoded) -> Option<String> {
+        match rec {
+            Decoded::Pop if self.depth == 0 => Some(format!(
+                "frame pop on thread {} with no frame open",
+                self.thread.0
+            )),
+            Decoded::Event(Event::Jump { .. } | Event::Phase { .. }) => None,
+            Decoded::Event(_) if self.depth == 0 => Some(format!(
+                "record on thread {} outside any frame",
+                self.thread.0
+            )),
+            Decoded::Event(Event::Alloc { object, .. })
+                if u64::from(object.0) != self.objects_allocated =>
+            {
                 Some(format!(
                     "alloc record names object {} but is allocation {}",
                     object.0, self.objects_allocated
@@ -1630,6 +1677,12 @@ impl EventSink for PrefixCounts {
     #[inline]
     fn frame_push(&mut self, _info: &FrameInfo) {
         self.frame_pushes += 1;
+        self.depth += 1;
+    }
+
+    #[inline]
+    fn frame_pop(&mut self) {
+        self.depth -= 1;
     }
 }
 

@@ -101,12 +101,15 @@ fn content_errors_fail_at_pinned_offsets() {
     }
 }
 
-/// The writer numbers threads and objects densely, and a record that
-/// breaks either sequence fails as a pinned error through `replay`,
-/// `salvage` and the streaming reader before it reaches the sink: a
-/// prologue naming a thread no `Spawn` created, and an `Alloc` that
-/// does not carry its own allocation count as the object id.
-/// Unchecked, either id sizes a table in the graph builder.
+/// The writer numbers threads and objects densely and balances every
+/// thread's frames, and a record that breaks either sequence or the
+/// balance fails as a pinned error through `replay`, `salvage` and the
+/// streaming reader before it reaches the sink: a prologue naming a
+/// thread no `Spawn` created, an `Alloc` that does not carry its own
+/// allocation count as the object id, a `Compute` before any frame
+/// push, and a frame pop with no frame open. Unchecked, either id sizes
+/// a table in the graph builder, and either frame fault indexes an
+/// empty shadow stack.
 #[test]
 fn sequence_errors_fail_at_pinned_offsets() {
     // A frame push (opcode 16) into method 0 with one local, then an
@@ -115,6 +118,11 @@ fn sequence_errors_fail_at_pinned_offsets() {
     let alloc = [
         16, 0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0x80, 0x92, 0xf4, 0x01, 0, 0,
     ];
+    // A `Compute` (opcode 0) of null into local 0 of method 0, with no
+    // frame pushed.
+    let compute = [0, 0, 0, 0, 0, 0, 0];
+    // The same frame push, its pop (opcode 17), and a second pop.
+    let pops = [16, 0, 0, 0, 1, 0, 0, 17, 17];
     let cases = [
         (
             framed_on(4_000_000, &[]),
@@ -124,6 +132,16 @@ fn sequence_errors_fail_at_pinned_offsets() {
         (
             framed_on(0, &alloc),
             "21: alloc record names object 4000000 but is allocation 0",
+            1,
+        ),
+        (
+            framed_on(0, &compute),
+            "14: record on thread 0 outside any frame",
+            0,
+        ),
+        (
+            framed_on(0, &pops),
+            "22: frame pop on thread 0 with no frame open",
             1,
         ),
     ];

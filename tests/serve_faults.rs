@@ -190,10 +190,12 @@ fn put_frame(out: &mut Vec<u8>, tag: u8, body: &[u8]) {
 }
 
 /// Checksum-valid streams whose trailers agree with their contents but
-/// which break the VM's dense numbering: a segment on thread 4,000,000
-/// with no `Spawn` before it, and an `Alloc` of object 4,000,000 as the
-/// first allocation. The graph builder would size a table by either id;
-/// the daemon rejects both before the builder sees it, and keeps
+/// which break the VM's dense numbering or its frame balance: a segment
+/// on thread 4,000,000 with no `Spawn` before it, an `Alloc` of object
+/// 4,000,000 as the first allocation, and a `Compute` before any frame
+/// push. The graph builder would size a table by either id and index an
+/// empty shadow stack for the `Compute`; the daemon rejects all three
+/// before the builder sees them, counts each in `stats`, and keeps
 /// answering.
 #[test]
 fn hostile_thread_and_object_ids_are_rejected() {
@@ -208,7 +210,8 @@ fn hostile_thread_and_object_ids_are_rejected() {
     // frames, not in a phase, first gid 0), payload length, payload.
     // 4,000,000 is the varint 80 92 f4 01. The second payload is a frame
     // push (opcode 16) into method 0 with one local, then an `Alloc`
-    // (opcode 2) at its first instruction.
+    // (opcode 2) at its first instruction. The third is a `Compute`
+    // (opcode 0) of null into local 0 at method 0's first instruction.
     let probes = [
         (
             "thread",
@@ -229,7 +232,16 @@ fn hostile_thread_and_object_ids_are_rejected() {
             ),
             "names object 4000000 but is allocation 0",
         ),
+        (
+            "compute",
+            probe(
+                &[0, 4, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0],
+                &[1, 1, 0, 0, 1],
+            ),
+            "record on thread 0 outside any frame",
+        ),
     ];
+    assert_eq!(probes[2].1.len(), 36, "the compute-before-push trace");
     let data = tmpdir("hostile");
     let handle = Server::start(ServeConfig {
         data_dir: data.clone(),
