@@ -15,7 +15,7 @@ use lowutil_core::csr::CsrGraph;
 use lowutil_core::{CostGraph, NodeId, NodeKind};
 
 /// The Table 1(c) measurements for one profiled run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeadValueMetrics {
     /// Fraction of instruction instances that (directly or transitively)
     /// produce only ultimately-dead values.
@@ -45,10 +45,10 @@ pub fn dead_value_metrics(gcost: &CostGraph, total_instances: u64) -> DeadValueM
 
 /// [`dead_value_metrics`] over an already-built CSR snapshot. The two
 /// reachability passes (from all consumers, from all natives) run as
-/// multi-source bitset traversals; callers whose
-/// [`BatchAnalyzer`](crate::batch::BatchAnalyzer) built a snapshot
-/// avoid a rebuild by passing
-/// [`csr()`](crate::batch::BatchAnalyzer::csr)'s value.
+/// multi-source bitset traversals. A caller that also ranks builds the
+/// snapshot once, hands it to
+/// [`BatchAnalyzer::with_csr`](crate::batch::BatchAnalyzer::with_csr)
+/// and passes [`csr()`](crate::batch::BatchAnalyzer::csr)'s value here.
 pub fn dead_value_metrics_csr(csr: &CsrGraph, total_instances: u64) -> DeadValueMetrics {
     let ids = (0..csr.num_nodes() as u32).map(NodeId);
     let consumers: Vec<NodeId> = ids.clone().filter(|&n| csr.kind(n).is_consumer()).collect();

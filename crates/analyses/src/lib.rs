@@ -5,9 +5,10 @@
 //!
 //! * [`cost`] — abstract cost and relative abstract cost/benefit of heap
 //!   locations (Definitions 4–6);
-//! * [`batch`] — the batch cost-benefit engine: CSR snapshot, bitset
-//!   slice kernels, one-pass consumer marking, parallel per-seed
-//!   precomputation — byte-identical to the per-seed reference;
+//! * [`batch`] — the batch cost-benefit engine, the one every front end
+//!   ranks with: CSR snapshot, bitset slice kernels, one-pass consumer
+//!   marking and per-seed precomputation, all on the calling thread —
+//!   byte-identical to the per-seed reference engine, its test oracle;
 //! * [`structure`] — object reference trees, n-RAC/n-RAB aggregation, and
 //!   the low-utility structure ranking (Definition 7, §3.1);
 //! * [`dead`] — ultimately-dead and predicate-only value metrics (IPD,
@@ -75,8 +76,8 @@ pub mod typestate;
 
 pub use allocsites::AllocationProfiler;
 pub use batch::{
-    BatchAnalyzer, CostEngine, EngineChoice, IncrementalAnalyzer, IncrementalEngine,
-    ReferenceEngine, RefreshStats, SNAPSHOT_CROSSOVER,
+    BatchAnalyzer, CostEngine, EngineChoice, IncrementalAnalyzer, ReferenceEngine, RefreshStats,
+    SnapshotEngine,
 };
 pub use cache::{cache_effectiveness, CacheStats};
 pub use copy::{copy_chains, copy_profiler, CopyChain, CopyDomain, CopySource};

@@ -4,7 +4,7 @@
 use crate::batch::{BatchAnalyzer, CostEngine, ReferenceEngine};
 use crate::cost::CostBenefitConfig;
 use crate::dead::DeadValueMetrics;
-use crate::structure::{batch_rank_jobs, rank_structures_with, StructureCostBenefit};
+use crate::structure::{rank_structures_with, StructureCostBenefit};
 use lowutil_core::{CostGraph, FieldKey, TaggedSite};
 use lowutil_ir::{AllocKind, Program};
 use std::fmt::Write;
@@ -76,40 +76,29 @@ pub fn low_utility_report(
         top_n,
         dead,
         &ReferenceEngine::new(gcost),
-        1,
     )
 }
 
-/// [`low_utility_report`] ranked by the batch engine with up to `jobs`
-/// worker threads. The report text is byte-identical to the reference
-/// engine's. `lowutil` itself ranks with
-/// [`rank_structures_batch`](crate::structure::rank_structures_batch)
+/// [`low_utility_report`] ranked by the batch engine. The report text
+/// is byte-identical to the reference engine's. `lowutil` itself ranks
+/// with [`rank_structures_batch`](crate::structure::rank_structures_batch)
 /// and renders with [`render_report`]; this wrapper stays for the
-/// perfbench harness, which compiles against it, and for the tests and
-/// bench binaries that hold the two engines to the same bytes.
+/// benchmark harness, which compiles against it, and for the tests that
+/// hold the two engines to the same bytes. `_jobs` is ignored (every
+/// analysis runs on the calling thread).
 pub fn low_utility_report_batch(
     program: &Program,
     gcost: &CostGraph,
     config: &CostBenefitConfig,
     top_n: usize,
     dead: Option<&DeadValueMetrics>,
-    jobs: usize,
+    _jobs: usize,
 ) -> String {
-    let engine = BatchAnalyzer::new(gcost, jobs);
-    low_utility_report_with(
-        program,
-        gcost,
-        config,
-        top_n,
-        dead,
-        &engine,
-        batch_rank_jobs(gcost, jobs),
-    )
+    let engine = BatchAnalyzer::new(gcost);
+    low_utility_report_with(program, gcost, config, top_n, dead, &engine)
 }
 
-/// [`low_utility_report`] with the ranking computed by `engine` on up to
-/// `jobs` worker threads.
-#[allow(clippy::too_many_arguments)]
+/// [`low_utility_report`] with the ranking computed by `engine`.
 pub fn low_utility_report_with<E: CostEngine>(
     program: &Program,
     gcost: &CostGraph,
@@ -117,9 +106,8 @@ pub fn low_utility_report_with<E: CostEngine>(
     top_n: usize,
     dead: Option<&DeadValueMetrics>,
     engine: &E,
-    jobs: usize,
 ) -> String {
-    let ranked = rank_structures_with(gcost, config, engine, jobs);
+    let ranked = rank_structures_with(gcost, config, engine, 1);
     render_report(program, &ranked, top_n, dead)
 }
 
@@ -189,18 +177,9 @@ method main/0 {
         assert!(report.contains("junk"), "{report}");
         assert!(report.contains("IPD"), "{report}");
         assert!(report.contains("n-RAC"), "{report}");
-        // The batch engine must render the identical bytes, at any
-        // worker count.
-        for jobs in [1, 3] {
-            let batch = low_utility_report_batch(
-                &p,
-                &g,
-                &CostBenefitConfig::default(),
-                5,
-                Some(&dead),
-                jobs,
-            );
-            assert_eq!(report, batch);
-        }
+        // The batch engine must render the identical bytes.
+        let batch =
+            low_utility_report_batch(&p, &g, &CostBenefitConfig::default(), 5, Some(&dead), 1);
+        assert_eq!(report, batch);
     }
 }

@@ -269,7 +269,7 @@ done:
         Vm::new(&p).run(&mut prof).unwrap();
         let g = prof.finish();
         let cfg = CostBenefitConfig::default();
-        let batch = stale.cost_report(&p, &g, &cfg, &crate::batch::BatchAnalyzer::new(&g, 2), 5);
+        let batch = stale.cost_report(&p, &g, &cfg, &crate::batch::BatchAnalyzer::new(&g), 5);
         let reference = stale.cost_report(&p, &g, &cfg, &crate::batch::ReferenceEngine::new(&g), 5);
         assert_eq!(batch, reference);
         assert!(batch.contains("new Leak"), "{batch}");

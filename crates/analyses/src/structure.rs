@@ -121,25 +121,28 @@ pub fn structure_cost_benefit_with(
 
 /// Ranks every allocated structure by cost-benefit imbalance, highest
 /// first — the tool report a programmer reads (§3.1). Uses the per-seed
-/// reference engine sequentially; front ends wanting speed use
-/// [`rank_structures_batch`].
+/// reference engine; front ends use [`rank_structures_batch`], which
+/// produces the identical ranking faster.
 pub fn rank_structures(gcost: &CostGraph, config: &CostBenefitConfig) -> Vec<StructureCostBenefit> {
     rank_structures_with(gcost, config, &ReferenceEngine::new(gcost), 1)
 }
 
-/// [`rank_structures`] with the per-node queries answered by `engine`
-/// and the per-root aggregation fanned over up to `jobs` worker threads.
-/// `par_map` preserves input order and the final sort is stable, so the
-/// ranking is identical for every engine/job combination.
+/// [`rank_structures`] with the per-node queries answered by `engine`.
+/// Roots are aggregated in order and the final sort is stable, so the
+/// ranking is identical for every engine. `_jobs` is ignored (every
+/// analysis runs on the calling thread); the parameter stays for the
+/// benchmark harness, which passes it.
 pub fn rank_structures_with<E: CostEngine>(
     gcost: &CostGraph,
     config: &CostBenefitConfig,
     engine: &E,
-    jobs: usize,
+    _jobs: usize,
 ) -> Vec<StructureCostBenefit> {
-    let mut out: Vec<StructureCostBenefit> = lowutil_par::par_map(jobs, gcost.objects(), |root| {
-        structure_cost_benefit_with(gcost, root, config, engine)
-    });
+    let mut out: Vec<StructureCostBenefit> = gcost
+        .objects()
+        .into_iter()
+        .map(|root| structure_cost_benefit_with(gcost, root, config, engine))
+        .collect();
     out.sort_by(|a, b| {
         b.imbalance()
             .partial_cmp(&a.imbalance())
@@ -149,28 +152,15 @@ pub fn rank_structures_with<E: CostEngine>(
     out
 }
 
-/// Worker count for aggregating roots over a batch engine. Its queries
-/// are array lookups, so fanning the aggregation out only pays past
-/// thousands of roots; below that, worker spawns would dominate.
-pub(crate) fn batch_rank_jobs(gcost: &CostGraph, jobs: usize) -> usize {
-    if gcost.objects().len() < 4096 {
-        1
-    } else {
-        jobs
-    }
-}
-
-/// The fast path front ends use: builds a [`BatchAnalyzer`] (its
-/// precomputation already sharded over `jobs` workers) and ranks with
-/// it, aggregating roots on the same pool. Output is byte-identical to
-/// [`rank_structures`].
+/// The fast path: builds a [`BatchAnalyzer`] and ranks with it. Output
+/// is byte-identical to [`rank_structures`]. `_jobs` is ignored, as in
+/// [`rank_structures_with`].
 pub fn rank_structures_batch(
     gcost: &CostGraph,
     config: &CostBenefitConfig,
-    jobs: usize,
+    _jobs: usize,
 ) -> Vec<StructureCostBenefit> {
-    let engine = BatchAnalyzer::new(gcost, jobs);
-    rank_structures_with(gcost, config, &engine, batch_rank_jobs(gcost, jobs))
+    rank_structures_with(gcost, config, &BatchAnalyzer::new(gcost), 1)
 }
 
 #[cfg(test)]

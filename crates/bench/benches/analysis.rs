@@ -1,6 +1,6 @@
 //! Batch cost-benefit engine benches: per-seed reference ranking vs the
-//! batch engine (sequential and parallel), and the one-pass consumer
-//! marking vs the per-read forward slices it replaces.
+//! batch engine, and the one-pass consumer marking vs the per-read
+//! forward slices it replaces.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lowutil_analyses::batch::BatchAnalyzer;
@@ -25,11 +25,8 @@ fn bench_rank_engines(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("reference", name), &graph, |b, g| {
             b.iter(|| rank_structures(g, &cfg))
         });
-        group.bench_with_input(BenchmarkId::new("batch-j1", name), &graph, |b, g| {
+        group.bench_with_input(BenchmarkId::new("batch", name), &graph, |b, g| {
             b.iter(|| rank_structures_batch(g, &cfg, 1))
-        });
-        group.bench_with_input(BenchmarkId::new("batch-j4", name), &graph, |b, g| {
-            b.iter(|| rank_structures_batch(g, &cfg, 4))
         });
     }
     group.finish();
@@ -70,9 +67,7 @@ fn bench_engine_build(c: &mut Criterion) {
     for name in ["chart", "eclipse"] {
         let graph = profiled(name);
         group.bench_with_input(BenchmarkId::from_parameter(name), &graph, |b, g| {
-            // Forced snapshot so the bench measures CSR build +
-            // precomputation regardless of the small-graph gate.
-            b.iter(|| BatchAnalyzer::with_snapshot(g, 1))
+            b.iter(|| BatchAnalyzer::new(g))
         });
     }
     group.finish();

@@ -167,10 +167,9 @@ struct RankSummary {
     consumer_reads: usize,
 }
 
-/// Ranks the row's default-config graph with the batch engine. Always
-/// sequential: the suite pool already runs one task per workload.
+/// Ranks the row's default-config graph with the batch engine.
 fn ranking_summary(program: &Program, gcost: &CostGraph) -> RankSummary {
-    let engine = BatchAnalyzer::new(gcost, 1);
+    let engine = BatchAnalyzer::new(gcost);
     let ranked = rank_structures_with(gcost, &CostBenefitConfig::default(), &engine, 1);
     let mut consumer_reads = 0;
     for obj in gcost.objects() {
@@ -482,7 +481,7 @@ fn main() {
     // same finished graph, so ranking time is split from build time.
     // Sequential post-pass (baseline runs only) so the comparison is not
     // perturbed by the suite pool's own workers.
-    let analysis_times: Vec<(&'static str, Duration, Duration, Duration)> = if args.json.is_some() {
+    let analysis_times: Vec<(&'static str, Duration, Duration)> = if args.json.is_some() {
         NAMES
             .iter()
             .map(|&name| {
@@ -500,15 +499,12 @@ fn main() {
                 };
                 let cfg = CostBenefitConfig::default();
                 let (reference, t_ref) = time_ranking(|| rank_structures(&graph, &cfg));
-                let (batch_seq, t_seq) = time_ranking(|| rank_structures_batch(&graph, &cfg, 1));
-                let (batch_par, t_par) =
-                    time_ranking(|| rank_structures_batch(&graph, &cfg, args.jobs));
+                let (batch, t_seq) = time_ranking(|| rank_structures_batch(&graph, &cfg, 1));
                 assert!(
-                    rankings_agree(&reference, &batch_seq)
-                        && rankings_agree(&reference, &batch_par),
+                    rankings_agree(&reference, &batch),
                     "batch ranking diverged from reference on {name}"
                 );
-                (name, t_ref, t_seq, t_par)
+                (name, t_ref, t_seq)
             })
             .collect()
     } else {
@@ -637,7 +633,7 @@ fn store_timing(name: &'static str, dir: &str, args: &Args) -> StoreTiming {
     );
     let cfg = CostBenefitConfig::default();
     let (_, t_cold_query) = time_ranking(|| {
-        let engine = BatchAnalyzer::with_csr(snap.csr().clone(), 1);
+        let engine = BatchAnalyzer::with_csr(snap.csr().clone());
         rank_structures_with(&loaded, &cfg, &engine, 1)
     });
 
@@ -734,7 +730,7 @@ fn mode_name(mode: &Mode) -> &'static str {
 fn baseline_json(
     args: &Args,
     rows: &[Row],
-    analysis_times: &[(&'static str, Duration, Duration, Duration)],
+    analysis_times: &[(&'static str, Duration, Duration)],
     store_times: &[StoreTiming],
     total: Duration,
 ) -> String {
@@ -798,16 +794,14 @@ fn baseline_json(
     // Ranking time on the finished default-config graph — the analysis
     // phase alone, split from the graph-build times above.
     s.push_str("  \"analysis\": [\n");
-    for (i, (name, t_ref, t_seq, t_par)) in analysis_times.iter().enumerate() {
+    for (i, (name, t_ref, t_seq)) in analysis_times.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"name\": \"{}\", \"reference_ms\": {:.3}, \"batch_seq_ms\": {:.3}, \
-             \"batch_par_ms\": {:.3}, \"speedup_seq\": {:.2}, \"speedup_par\": {:.2}}}{}\n",
+             \"speedup_seq\": {:.2}}}{}\n",
             name,
             ms(*t_ref),
             ms(*t_seq),
-            ms(*t_par),
             t_ref.as_secs_f64() / t_seq.as_secs_f64().max(1e-9),
-            t_ref.as_secs_f64() / t_par.as_secs_f64().max(1e-9),
             if i + 1 == analysis_times.len() {
                 ""
             } else {

@@ -88,8 +88,8 @@ pub fn run_replayed(
 /// path, returning the graph, the salvage statistics, and wall time.
 /// On a clean trace this measures the v2 checksum-verification overhead
 /// relative to [`run_replayed`]; on a damaged one it benchmarks recovery.
-/// Unlike `lowutil_par::salvage_replay_gcost` this emits no stderr
-/// warning — benches iterate it thousands of times.
+/// Unlike `lowutil replay --salvage` this emits no stderr warning —
+/// benches iterate it thousands of times.
 ///
 /// # Panics
 /// Panics only when the trace header is unusable — there is nothing to

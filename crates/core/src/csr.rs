@@ -101,7 +101,7 @@ impl Bitset {
 /// its fused frequency sum sweeps) word-at-a-time in O(|slice|/64 +
 /// |slice|), not O(V). One scratch serves any number of sequential
 /// queries against graphs of at most the constructed size; per-seed
-/// batch analysis gives each worker thread its own.
+/// batch analysis reuses one across every seed.
 #[derive(Debug)]
 pub struct TraversalScratch {
     visited: Bitset,

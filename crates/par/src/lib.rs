@@ -12,9 +12,9 @@
 //! index from a shared cursor, so a slow item (e.g. the `eclipse`
 //! workload) does not serialize the rest of its stripe.
 //!
-//! The crate also hosts trace replay ([`replay_gcost`]), which is one
-//! sequential pass, and [`run_pipelined`], a shim over the sequential
-//! profiler kept for callers of the removed pipelined profiler.
+//! The crate also hosts [`replay_gcost`], a wrapper over core's
+//! sequential trace replay, and [`run_pipelined`], a shim over the
+//! sequential profiler; both stay for the benchmark harness.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +23,7 @@ mod pipeline;
 mod replay;
 
 pub use pipeline::{auto_pipeline_jobs, run_pipelined, PipelineOptions, PipelineTracer};
-pub use replay::{replay_gcost, salvage_replay_gcost};
+pub use replay::replay_gcost;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -49,30 +49,10 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    par_map_init(jobs, items, || (), move |(), t| f(t))
-}
-
-/// Like [`par_map`], but each worker thread first builds private state
-/// with `init` and every call on that worker gets `&mut` access to it.
-///
-/// This is the scratch-reuse hook for the batch analysis engine: a
-/// worker allocates one traversal scratch (visited bitset + stack) up
-/// front and reuses it across every seed it claims, instead of paying an
-/// allocation per slice query. The inline path (`jobs <= 1` or a single
-/// item) calls `init` once and maps sequentially, so results are
-/// identical whatever the worker count.
-pub fn par_map_init<T, R, S, I, F>(jobs: usize, items: Vec<T>, init: I, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, T) -> R + Sync,
-{
     let n = items.len();
     let workers = jobs.max(1).min(n);
     if workers <= 1 {
-        let mut state = init();
-        return items.into_iter().map(|t| f(&mut state, t)).collect();
+        return items.into_iter().map(f).collect();
     }
 
     // Each slot is claimed exactly once via the shared cursor, so a
@@ -84,21 +64,18 @@ where
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| {
-                let mut state = init();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let item = inputs[i]
-                        .lock()
-                        .expect("input slot poisoned")
-                        .take()
-                        .expect("input slot claimed twice");
-                    let result = f(&mut state, item);
-                    *outputs[i].lock().expect("output slot poisoned") = Some(result);
+            scope.spawn(|| loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
+                let item = inputs[i]
+                    .lock()
+                    .expect("input slot poisoned")
+                    .take()
+                    .expect("input slot claimed twice");
+                let result = f(item);
+                *outputs[i].lock().expect("output slot poisoned") = Some(result);
             });
         }
     });
@@ -162,41 +139,5 @@ mod tests {
     #[test]
     fn default_jobs_is_positive() {
         assert!(default_jobs() >= 1);
-    }
-
-    #[test]
-    fn init_state_is_per_worker_and_reused() {
-        // Each worker counts how many items it processed in its private
-        // state; the counts must sum to the item count, and results must
-        // stay in input order.
-        let items: Vec<u64> = (0..64).collect();
-        let out = par_map_init(
-            4,
-            items,
-            || 0u64,
-            |count, x| {
-                *count += 1;
-                (x, *count)
-            },
-        );
-        for (i, (x, count)) in out.iter().enumerate() {
-            assert_eq!(*x, i as u64);
-            assert!(*count >= 1);
-        }
-    }
-
-    #[test]
-    fn init_inline_path_initializes_once() {
-        // One state serves all items sequentially: 10 becomes 11, 12, 13.
-        let out = par_map_init(
-            1,
-            vec![1, 2, 3],
-            || 10,
-            |s, x| {
-                *s += 1;
-                *s + x
-            },
-        );
-        assert_eq!(out, vec![12, 14, 16]);
     }
 }

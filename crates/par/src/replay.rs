@@ -15,15 +15,15 @@
 use lowutil_core::shard::replay_cost_graph;
 use lowutil_core::{CostGraph, CostGraphConfig};
 use lowutil_ir::Program;
-use lowutil_vm::trace::{SalvageStats, TraceError, TraceReader};
+use lowutil_vm::trace::{TraceError, TraceReader};
 
-/// Rebuilds `G_cost` from a recorded trace.
+/// Rebuilds `G_cost` from a recorded trace: a thin wrapper over
+/// [`replay_cost_graph`], which every other caller calls directly.
 ///
 /// The result is identical — byte-for-byte under the canonical
-/// serialization — to a live profiling run. `jobs` does not affect
-/// graph construction, which is always one sequential pass; the
-/// parameter is kept so callers can pass their `--jobs` value through
-/// unchanged (the analyses that follow still use it).
+/// serialization — to a live profiling run. `_jobs` is ignored: graph
+/// construction is one sequential pass. The function and its parameter
+/// stay for the benchmark harness, which calls them.
 ///
 /// # Errors
 /// Fails on a malformed trace.
@@ -34,31 +34,6 @@ pub fn replay_gcost(
     _jobs: usize,
 ) -> Result<CostGraph, TraceError> {
     replay_cost_graph(program, config, reader)
-}
-
-/// Like [`replay_gcost`], but on a possibly damaged trace: salvages the
-/// longest checksum-valid segment prefix, warns on stderr about anything
-/// it had to skip, and replays the kept segments.
-///
-/// The graph is byte-identical (canonical export) to a live run of the
-/// original program stopped at the salvage boundary — replay sees a kept
-/// prefix exactly as it would a shorter clean trace.
-///
-/// # Errors
-/// Fails only when the header is unusable (nothing to salvage) or — a
-/// bug, given salvage trial-decodes every kept segment — a kept segment
-/// fails to replay.
-pub fn salvage_replay_gcost(
-    program: &Program,
-    config: CostGraphConfig,
-    bytes: &[u8],
-) -> Result<(CostGraph, SalvageStats), TraceError> {
-    let (reader, stats) = TraceReader::salvage(bytes)?;
-    if !stats.is_clean() {
-        eprintln!("warning: trace damaged; {}", stats.summary());
-    }
-    let graph = replay_cost_graph(program, config, &reader)?;
-    Ok((graph, stats))
 }
 
 #[cfg(test)]

@@ -7,10 +7,9 @@
 //! restricted to the kept segment prefix. These helpers state those
 //! identities once, with panics that name the diverging stage.
 
-use lowutil_core::shard::replay_segments;
+use lowutil_core::shard::{replay_cost_graph, replay_segments};
 use lowutil_core::{write_cost_graph, CostGraph, CostGraphConfig, GraphBuilder};
 use lowutil_ir::Program;
-use lowutil_par::{replay_gcost, salvage_replay_gcost};
 use lowutil_vm::trace::TraceReader;
 use lowutil_vm::{SinkTracer, TraceStats, TraceWriter, Vm};
 
@@ -63,7 +62,7 @@ pub fn assert_live_replay_identical(
     let live_bytes = canon(&live);
     let reader = TraceReader::new(&bytes)
         .unwrap_or_else(|e| panic!("{label}: fresh recording failed to parse: {e}"));
-    let g = replay_gcost(program, config, &reader, 1)
+    let g = replay_cost_graph(program, config, &reader)
         .unwrap_or_else(|e| panic!("{label}: replay failed: {e}"));
     assert!(
         canon(&g) == live_bytes,
@@ -116,9 +115,11 @@ pub fn assert_salvage_matches_prefix(
     let prefix = replay_segments(program, config, &orig.segments()[..k])
         .unwrap_or_else(|e| panic!("{label}: prefix replay failed: {e}"));
     let prefix_bytes = canon(&prefix);
-    let (g, st) = salvage_replay_gcost(program, config, mutated)
-        .unwrap_or_else(|e| panic!("{label}: salvage replay failed: {e}"));
+    let (reader, st) = TraceReader::salvage(mutated)
+        .unwrap_or_else(|e| panic!("{label}: second salvage failed: {e}"));
     assert_eq!(st.segments_kept, k, "{label}: salvage not deterministic");
+    let g = replay_cost_graph(program, config, &reader)
+        .unwrap_or_else(|e| panic!("{label}: salvage replay failed: {e}"));
     assert!(
         canon(&g) == prefix_bytes,
         "{label}: salvaged graph != prefix graph"

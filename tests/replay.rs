@@ -5,7 +5,7 @@
 //! itself is stated once, in `lowutil_testkit::diff`; this file binds it
 //! to the suite workloads and adds the trailer bookkeeping checks.
 
-use lowutil::core::{CostGraphConfig, GraphBuilder};
+use lowutil::core::{replay_cost_graph, CostGraphConfig, GraphBuilder};
 use lowutil::vm::trace::DEFAULT_SEGMENT_LIMIT;
 use lowutil::vm::{CountingSink, SinkTracer, StreamingReader, TraceReader, TraceWriter, Vm};
 use lowutil::workloads::{map_suite, WorkloadSize};
@@ -89,7 +89,7 @@ fn suite_graphs_are_identical_with_inline_caches_on_and_off() {
         assert!(canon(&live_off) == want, "{}: live graphs differ", w.name);
         let reader = TraceReader::new(&bytes).unwrap_or_else(|e| panic!("{}: {e}", w.name));
         for config in [on, off] {
-            let g = lowutil::par::replay_gcost(&w.program, config, &reader, 1)
+            let g = replay_cost_graph(&w.program, config, &reader)
                 .unwrap_or_else(|e| panic!("{}: replay failed: {e}", w.name));
             assert!(
                 canon(&g) == want,

@@ -2,12 +2,13 @@
 //! interleaving, and for race-free programs — every built-in workload,
 //! and every generated program (workers are pure and join-synchronized)
 //! — the interleaving must be invisible in the results. The canonical
-//! export is byte-identical across seeds, across `--jobs` counts, and
-//! across a record→replay round trip; program output is identical too.
+//! export is byte-identical across seeds and across a record→replay
+//! round trip; program output is identical too.
 
-use lowutil::core::{write_cost_graph, CostGraph, CostGraphConfig, CostProfiler};
+use lowutil::core::{
+    replay_cost_graph, write_cost_graph, CostGraph, CostGraphConfig, CostProfiler,
+};
 use lowutil::ir::Program;
-use lowutil::par::replay_gcost;
 use lowutil::vm::{RunConfig, SinkTracer, TraceReader, TraceWriter, Vm};
 use lowutil::workloads::{workload, WorkloadSize, CONCURRENT_NAMES};
 use lowutil_testkit::gen::{build, op_strategy};
@@ -66,12 +67,9 @@ proptest! {
         }
     }
 
-    /// A trace recorded under an arbitrary seed replays — at every
-    /// `jobs` value — to the same canonical export the live run built,
-    /// which itself equals the seed-0 export. Replay is one sequential
-    /// pass whatever `jobs` says (a segment fan-out did about twice the
-    /// work and never beat one thread), so the sweep pins that `jobs`
-    /// stays invisible.
+    /// A trace recorded under an arbitrary seed replays to the same
+    /// canonical export the live run built, which itself equals the
+    /// seed-0 export.
     #[test]
     fn record_replay_round_trips_under_any_seed(seed in any::<u64>()) {
         let config = CostGraphConfig::default();
@@ -81,15 +79,13 @@ proptest! {
             let bytes = record(&w.program, seed, 8);
             let reader = TraceReader::new(&bytes)
                 .unwrap_or_else(|e| panic!("{name}: fresh recording failed to parse: {e}"));
-            for jobs in [1usize, 2, 7] {
-                let g = replay_gcost(&w.program, config, &reader, jobs)
-                    .unwrap_or_else(|e| panic!("{name}: replay failed at jobs={jobs}: {e}"));
-                prop_assert!(
-                    export(&g) == reference,
-                    "{}: replayed export diverged at seed {} jobs {}",
-                    name, seed, jobs
-                );
-            }
+            let g = replay_cost_graph(&w.program, config, &reader)
+                .unwrap_or_else(|e| panic!("{name}: replay failed: {e}"));
+            prop_assert!(
+                export(&g) == reference,
+                "{}: replayed export diverged at seed {}",
+                name, seed
+            );
         }
     }
 
@@ -111,7 +107,7 @@ proptest! {
 }
 
 /// A pinned, deterministic spot check (no proptest shrinkage noise):
-/// named seeds × segment limits × replay `jobs` on every concurrent
+/// named seeds × segment limits on every concurrent
 /// workload, each live run and each record→replay held to the seed-0
 /// live export.
 #[test]
@@ -126,14 +122,12 @@ fn concurrent_workload_matrix_is_byte_identical() {
             for limit in [1usize, 64, 4096] {
                 let bytes = record(&w.program, seed, limit);
                 let reader = TraceReader::new(&bytes).expect("fresh recording parses");
-                for jobs in [1usize, 2, 7] {
-                    let g = replay_gcost(&w.program, config, &reader, jobs).expect("trace replays");
-                    assert_eq!(
-                        export(&g),
-                        reference,
-                        "{name}: diverged at seed={seed} limit={limit} jobs={jobs}"
-                    );
-                }
+                let g = replay_cost_graph(&w.program, config, &reader).expect("trace replays");
+                assert_eq!(
+                    export(&g),
+                    reference,
+                    "{name}: diverged at seed={seed} limit={limit}"
+                );
             }
         }
     }

@@ -1,15 +1,15 @@
 //! Round-trip identity for the persistent CSR store: for every workload
 //! in the suite, `build → save → load` must reproduce the graph exactly
 //! — same canonical export bytes, same content hash, same report text —
-//! and the snapshot written from a replay at any `jobs` value must be
-//! byte-identical to the one written from the live profile.
+//! and the snapshot written from a replay must be byte-identical to the
+//! one written from the live profile.
 
-use lowutil::analyses::dead::dead_value_metrics;
+use lowutil::analyses::dead::{dead_value_metrics, dead_value_metrics_csr};
 use lowutil::analyses::report::low_utility_report_batch;
 use lowutil::analyses::CostBenefitConfig;
 use lowutil::core::{
-    content_hash, read_snapshot, write_cost_graph, write_snapshot, AlignedBuf, CostGraph,
-    CostGraphConfig, CostProfiler,
+    content_hash, read_snapshot, replay_cost_graph, write_cost_graph, write_snapshot, AlignedBuf,
+    CostGraph, CostGraphConfig, CostProfiler,
 };
 use lowutil::ir::Program;
 use lowutil::vm::{TraceReader, Vm};
@@ -63,6 +63,12 @@ fn assert_round_trip(program: &Program, name: &str) {
     let cfg = CostBenefitConfig::default();
     let dead_live = dead_value_metrics(&live, out.instructions_executed);
     let dead_loaded = dead_value_metrics(&loaded, snap.total_instructions());
+    // `lowutil snapshot load` reads them off the loaded CSR arrays.
+    assert_eq!(
+        dead_value_metrics_csr(snap.csr(), snap.total_instructions()),
+        dead_loaded,
+        "{name}: dead-value metrics over the loaded CSR diverged"
+    );
     let report_live = low_utility_report_batch(program, &live, &cfg, 10, Some(&dead_live), 1);
     let report_loaded = low_utility_report_batch(program, &loaded, &cfg, 10, Some(&dead_loaded), 1);
     assert_eq!(report_live, report_loaded, "{name}: report diverged");
@@ -81,25 +87,21 @@ fn assert_round_trip(program: &Program, name: &str) {
     );
 }
 
-/// A snapshot saved from a replay must equal the live one at every
-/// `jobs` value. Replay is one sequential pass at any `jobs` (a segment
-/// fan-out did about twice the work and never beat one thread), so the
-/// sweep pins that `jobs` stays invisible in the snapshot bytes.
+/// A snapshot saved from a replay must equal the live one. Replay is
+/// one sequential pass (a segment fan-out did about twice the work and
+/// never beat one thread), so there is one replay to check.
 fn assert_replayed_snapshots_agree(program: &Program, name: &str) {
     let config = CostGraphConfig::default();
     let (trace, _, live) = record_with_live_graph(program, config, 256);
     let reader = TraceReader::new(&trace).expect("recorded trace parses");
     let instructions = reader.trailer().instructions;
     let reference = snapshot_bytes(&live, instructions);
-    for jobs in [1, 2, 7] {
-        let replayed =
-            lowutil::par::replay_gcost(program, config, &reader, jobs).expect("trace replays");
-        assert_eq!(
-            reference,
-            snapshot_bytes(&replayed, instructions),
-            "{name}: snapshot from jobs={jobs} replay diverged"
-        );
-    }
+    let replayed = replay_cost_graph(program, config, &reader).expect("trace replays");
+    assert_eq!(
+        reference,
+        snapshot_bytes(&replayed, instructions),
+        "{name}: snapshot from replay diverged"
+    );
 }
 
 #[test]
