@@ -1,26 +1,28 @@
-//! Batch cost-benefit engine benches: per-seed reference ranking vs the
-//! batch engine, and the one-pass consumer marking vs the per-read
-//! forward slices it replaces.
+//! Client-analysis benches: per-seed reference ranking vs the batch
+//! engine, the one-pass consumer marking vs the per-read forward slices
+//! it replaces, and the dead-value metrics.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lowutil_analyses::batch::BatchAnalyzer;
 use lowutil_analyses::cost::CostBenefitConfig;
+use lowutil_analyses::dead::dead_value_metrics;
 use lowutil_analyses::structure::{rank_structures, rank_structures_batch};
 use lowutil_core::{CostGraph, CostGraphConfig, CostProfiler, CsrGraph};
 use lowutil_vm::Vm;
 use lowutil_workloads::{workload, WorkloadSize};
 
-fn profiled(name: &str) -> CostGraph {
+/// The workload's default-config graph and its instruction count.
+fn profiled(name: &str) -> (CostGraph, u64) {
     let w = workload(name, WorkloadSize::Small);
     let mut prof = CostProfiler::new(&w.program, CostGraphConfig::default());
-    Vm::new(&w.program).run(&mut prof).expect("runs");
-    prof.finish()
+    let out = Vm::new(&w.program).run(&mut prof).expect("runs");
+    (prof.finish(), out.instructions_executed)
 }
 
 fn bench_rank_engines(c: &mut Criterion) {
     let mut group = c.benchmark_group("analysis/rank_structures");
     for name in ["chart", "derby", "eclipse"] {
-        let graph = profiled(name);
+        let (graph, _) = profiled(name);
         let cfg = CostBenefitConfig::default();
         group.bench_with_input(BenchmarkId::new("reference", name), &graph, |b, g| {
             b.iter(|| rank_structures(g, &cfg))
@@ -35,7 +37,7 @@ fn bench_rank_engines(c: &mut Criterion) {
 fn bench_consumer_marking(c: &mut Criterion) {
     let mut group = c.benchmark_group("analysis/consumer_marking");
     for name in ["chart", "eclipse"] {
-        let graph = profiled(name);
+        let (graph, _) = profiled(name);
         // The replaced shape: one heap-bounded forward slice per heap
         // load, asking whether it hits a consumer.
         group.bench_with_input(BenchmarkId::new("per-read", name), &graph, |b, g| {
@@ -65,9 +67,20 @@ fn bench_consumer_marking(c: &mut Criterion) {
 fn bench_engine_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("analysis/batch_build");
     for name in ["chart", "eclipse"] {
-        let graph = profiled(name);
+        let (graph, _) = profiled(name);
         group.bench_with_input(BenchmarkId::from_parameter(name), &graph, |b, g| {
             b.iter(|| BatchAnalyzer::new(g))
+        });
+    }
+    group.finish();
+}
+
+fn bench_dead_values(c: &mut Criterion) {
+    let mut group = c.benchmark_group("analysis/dead_values");
+    for name in ["bloat", "fop"] {
+        let (graph, total) = profiled(name);
+        group.bench_with_input(BenchmarkId::from_parameter(name), &graph, |b, g| {
+            b.iter(|| dead_value_metrics(g, total))
         });
     }
     group.finish();
@@ -83,6 +96,7 @@ fn fast() -> Criterion {
 criterion_group! {
     name = benches;
     config = fast();
-    targets = bench_rank_engines, bench_consumer_marking, bench_engine_build
+    targets = bench_rank_engines, bench_consumer_marking, bench_engine_build,
+        bench_dead_values
 }
 criterion_main!(benches);

@@ -16,7 +16,7 @@ use lowutil_core::shard::replay_cost_graph;
 use lowutil_core::{CostGraph, CostGraphConfig, CostProfiler};
 use lowutil_ir::Program;
 use lowutil_vm::trace::TraceStats;
-use lowutil_vm::{NullTracer, RunOutcome, SinkTracer, TraceReader, TraceWriter, Trap, Vm};
+use lowutil_vm::{NullTracer, RunOutcome, SinkTracer, TraceReader, TraceWriter, Vm};
 use std::time::{Duration, Instant};
 
 /// Runs `program` uninstrumented, returning the outcome and wall time.
@@ -129,16 +129,6 @@ pub fn overhead_factor(tracked: Duration, untracked: Duration) -> f64 {
     tracked.as_secs_f64() / base
 }
 
-/// Formats a byte count as mebibytes with two decimals.
-pub fn mib(bytes: usize) -> f64 {
-    bytes as f64 / (1024.0 * 1024.0)
-}
-
-/// Propagates a trap into a panic with the workload name attached.
-pub fn expect_run(name: &str, r: Result<RunOutcome, Trap>) -> RunOutcome {
-    r.unwrap_or_else(|e| panic!("workload {name} trapped: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,10 +200,5 @@ mod tests {
     fn overhead_factor_is_clamped() {
         let f = overhead_factor(Duration::from_millis(10), Duration::ZERO);
         assert!(f.is_finite() && f > 0.0);
-    }
-
-    #[test]
-    fn mib_converts() {
-        assert!((mib(1024 * 1024) - 1.0).abs() < 1e-9);
     }
 }

@@ -13,9 +13,10 @@
 //! the two produce structurally identical graphs by construction, and a
 //! property test (`crates/core/tests/dense_props.rs`) checks it anyway.
 //!
-//! Unbounded domains (e.g. the occurrence index of traditional slicing
-//! in [`crate::concrete`]) cannot implement [`DenseDomain`] and keep
-//! using the hashed path.
+//! Domains that cannot enumerate themselves densely intern through
+//! [`DepGraph::intern`] alone, as the generic [`crate::domain`] profiler
+//! does; [`crate::concrete`] keeps one node per instance and interns
+//! nothing.
 
 use crate::graph::{DepGraph, NodeId, NodeKind};
 use lowutil_ir::{InstrId, Program};

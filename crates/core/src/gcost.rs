@@ -153,11 +153,6 @@ pub struct CostGraphConfig {
     /// so control work flows into value costs. The paper ignores control
     /// (the default) to keep reports precise.
     pub control_edges: bool,
-    /// Use the flat `|I| × |D|` interning table ([`DenseInterner`])
-    /// instead of hashing `(InstrId, CostElem)` per event. Produces a
-    /// structurally identical graph; the switch exists for benchmarking
-    /// the two paths against each other.
-    pub dense_interning: bool,
     /// Per-instruction inline caches on the hot per-event path. Each
     /// static instruction remembers the last `(g, NodeId)` it resolved
     /// to, so the common monomorphic case (an instruction re-executing
@@ -166,8 +161,8 @@ pub struct CostGraphConfig {
     /// Predicate instructions also remember, per operand, the last edge
     /// that operand added, and skip the edge-set insert when the next
     /// instance would add the same edge again. Produces an identical
-    /// graph (same node ids, same first-seen edge order); the switch
-    /// exists for benchmarking the caches.
+    /// graph (same node ids, same first-seen edge order); the off
+    /// position is the reference the caches are tested against.
     pub inline_caches: bool,
 }
 
@@ -179,7 +174,6 @@ impl Default for CostGraphConfig {
             phase_limited: false,
             traditional_uses: false,
             control_edges: false,
-            dense_interning: true,
             inline_caches: true,
         }
     }
@@ -234,9 +228,9 @@ pub struct GraphBuilder {
     control_deps: FxHashMap<InstrId, Vec<InstrId>>,
     /// Global dense index per static instruction (for the dense table).
     indexer: InstrIndexer,
-    /// The flat `|I| × |D|` interning table, when
-    /// [`CostGraphConfig::dense_interning`] is on.
-    dense: Option<DenseInterner>,
+    /// The flat `|I| × |D|` interning table in front of the graph's
+    /// hashed index.
+    dense: DenseInterner,
     /// Per-instruction inline cache indexed by the dense instruction
     /// index, when [`CostGraphConfig::inline_caches`] is on.
     icache: Vec<CacheEntry>,
@@ -324,10 +318,8 @@ impl GraphBuilder {
     pub fn new(program: &lowutil_ir::Program, config: CostGraphConfig) -> Self {
         let control_deps = build_control_deps(program, &config);
         let indexer = InstrIndexer::new(program);
-        let dense = config.dense_interning.then(|| {
-            // |D| = s context slots + NoCtx.
-            DenseInterner::new(indexer.num_instrs(), config.slots as usize + 1)
-        });
+        // |D| = s context slots + NoCtx.
+        let dense = DenseInterner::new(indexer.num_instrs(), config.slots as usize + 1);
         // Zero-length (never consulted) when the caches are off.
         let icache = if config.inline_caches {
             vec![CacheEntry::EMPTY; indexer.num_instrs()]
@@ -406,15 +398,12 @@ impl GraphBuilder {
         }
     }
 
-    /// Interns `(at, elem)` through the dense table when enabled, the
-    /// hashed graph index otherwise. Both paths produce identical
-    /// graphs (the dense table only fronts [`DepGraph::intern`]).
+    /// Interns `(at, elem)` through the dense table, which only fronts
+    /// [`DepGraph::intern`]: both give the same node ids.
     #[inline]
     fn intern(&mut self, at: InstrId, elem: CostElem, kind: NodeKind) -> NodeId {
-        match &mut self.dense {
-            Some(table) => table.intern(&mut self.graph, &self.indexer, at, elem, kind),
-            None => self.graph.intern(at, elem, kind),
-        }
+        self.dense
+            .intern(&mut self.graph, &self.indexer, at, elem, kind)
     }
 
     /// Interns + bumps the node for `at` (cache index `idx`) under the

@@ -480,10 +480,6 @@ method sum/2 {
                 ..CostGraphConfig::default()
             },
             CostGraphConfig {
-                dense_interning: false,
-                ..CostGraphConfig::default()
-            },
-            CostGraphConfig {
                 track_conflicts: false,
                 ..CostGraphConfig::default()
             },
@@ -598,10 +594,6 @@ done:
             },
             CostGraphConfig {
                 control_edges: true,
-                ..CostGraphConfig::default()
-            },
-            CostGraphConfig {
-                dense_interning: false,
                 ..CostGraphConfig::default()
             },
             CostGraphConfig {

@@ -4,11 +4,8 @@
 //! dependence graphs — same node ids, same nodes, same edges, and a
 //! hashed index that stays queryable on the dense-built graph.
 
-use lowutil_core::{
-    CostElem, CostGraphConfig, CostProfiler, DenseInterner, DepGraph, InstrIndexer, NodeId,
-    NodeKind,
-};
-use lowutil_ir::{parse_program, ConstValue, InstrId, MethodId, Program, ProgramBuilder};
+use lowutil_core::{CostElem, DenseInterner, DepGraph, InstrIndexer, NodeId, NodeKind};
+use lowutil_ir::{ConstValue, InstrId, MethodId, Program, ProgramBuilder};
 use proptest::prelude::*;
 
 /// Builds a program whose method bodies have the given instruction
@@ -110,59 +107,4 @@ proptest! {
             prop_assert_eq!(dense.find(n.instr, &n.elem), Some(id));
         }
     }
-}
-
-/// End-to-end: the full profiler produces byte-identical serialized
-/// graphs with dense interning on and off.
-#[test]
-fn profiler_output_is_identical_with_and_without_dense_interning() {
-    let program = parse_program(
-        r#"
-native print/1
-class Box { v, w }
-method helper/1 {
-  b = new Box
-  b.v = p0
-  t = b.v
-  r = t + p0
-  return r
-}
-method main/0 {
-  s = 0
-  i = 0
-  one = 1
-  lim = 25
-loop:
-  if i >= lim goto done
-  s = call helper(i)
-  b = new Box
-  b.w = s
-  u = b.w
-  native print(u)
-  i = i + one
-  goto loop
-done:
-  native print(s)
-  return
-}
-"#,
-    )
-    .expect("program parses");
-
-    let run = |dense_interning: bool| {
-        let config = CostGraphConfig {
-            dense_interning,
-            ..CostGraphConfig::default()
-        };
-        let mut prof = CostProfiler::new(&program, config);
-        lowutil_vm::Vm::new(&program)
-            .run(&mut prof)
-            .expect("program runs");
-        let graph = prof.finish();
-        let mut bytes = Vec::new();
-        lowutil_core::write_cost_graph(&graph, &mut bytes).expect("export succeeds");
-        bytes
-    };
-
-    assert_eq!(run(true), run(false));
 }

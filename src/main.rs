@@ -23,12 +23,10 @@
 //!                                    execute once, writing the event trace
 //!                                    (N records per segment; smaller
 //!                                    segments salvage at a finer grain)
-//! lowutil replay <file.lu> <trace> [--jobs N] [--salvage]
+//! lowutil replay <file.lu> <trace> [--salvage]
 //!                                    rebuild G_cost from a trace in one
-//!                                    sequential pass (--jobs is accepted
-//!                                    and ignored) and print the same
-//!                                    report as
-//!                                    `report`; with --salvage a
+//!                                    sequential pass and print the same
+//!                                    report as `report`; with --salvage a
 //!                                    truncated or corrupt trace replays its
 //!                                    longest checksum-valid prefix instead
 //!                                    of erroring out
@@ -299,17 +297,22 @@ fn make_vm<'p>(program: &'p Program, flags: &Flags) -> Vm<'p> {
     )
 }
 
-fn profile(
-    program: &Program,
-    flags: &Flags,
-) -> Result<(lowutil::core::CostGraph, lowutil::vm::RunOutcome), String> {
-    let config = CostGraphConfig {
+/// The profiler configuration the `--slots`, `--traditional` and
+/// `--control` flags select.
+fn graph_config(flags: &Flags) -> CostGraphConfig {
+    CostGraphConfig {
         slots: flags.slots,
         traditional_uses: flags.traditional,
         control_edges: flags.control,
         ..CostGraphConfig::default()
-    };
-    let mut prof = CostProfiler::new(program, config);
+    }
+}
+
+fn profile(
+    program: &Program,
+    flags: &Flags,
+) -> Result<(lowutil::core::CostGraph, lowutil::vm::RunOutcome), String> {
+    let mut prof = CostProfiler::new(program, graph_config(flags));
     let out = make_vm(program, flags)
         .run(&mut prof)
         .map_err(|e| e.to_string())?;
@@ -588,13 +591,7 @@ fn main() -> ExitCode {
                     .ok_or("replay needs <file.lu> <trace>".to_string())?;
                 let bytes = std::fs::read(trace_path)
                     .map_err(|e| format!("cannot read {trace_path}: {e}"))?;
-                let config = CostGraphConfig {
-                    slots: flags.slots,
-                    traditional_uses: flags.traditional,
-                    control_edges: flags.control,
-                    ..CostGraphConfig::default()
-                };
-                let (g, instructions) = if flags.salvage {
+                let reader = if flags.salvage {
                     // Damaged traces replay their longest checksum-valid
                     // prefix; the skip warning goes to stderr so report
                     // output stays diffable.
@@ -603,15 +600,15 @@ fn main() -> ExitCode {
                     if !stats.is_clean() {
                         eprintln!("-- salvage: {}", stats.summary());
                     }
-                    let g = replay_cost_graph(&p, config, &reader).map_err(|e| e.to_string())?;
-                    // The salvaged reader's trailer is synthesized from
-                    // the kept prefix, so totals match what was replayed.
-                    (g, reader.trailer().instructions)
+                    reader
                 } else {
-                    let reader = TraceReader::new(&bytes).map_err(|e| e.to_string())?;
-                    let g = replay_cost_graph(&p, config, &reader).map_err(|e| e.to_string())?;
-                    (g, reader.trailer().instructions)
+                    TraceReader::new(&bytes).map_err(|e| e.to_string())?
                 };
+                let g = replay_cost_graph(&p, graph_config(&flags), &reader)
+                    .map_err(|e| e.to_string())?;
+                // A salvaged reader's trailer is synthesized from the
+                // kept prefix, so totals match what was replayed.
+                let instructions = reader.trailer().instructions;
                 let csr = CsrGraph::build(g.graph());
                 print!("{}", report(&p, &g, csr, instructions, flags.top));
                 Ok(())
@@ -762,12 +759,7 @@ fn main() -> ExitCode {
                     spool_dir: flags.spool.as_ref().map(std::path::PathBuf::from),
                     programs_dir: flags.programs.as_ref().map(std::path::PathBuf::from),
                     default_size: flags.size,
-                    graph: CostGraphConfig {
-                        slots: flags.slots,
-                        traditional_uses: flags.traditional,
-                        control_edges: flags.control,
-                        ..CostGraphConfig::default()
-                    },
+                    graph: graph_config(&flags),
                     idle_timeout: std::time::Duration::from_secs(flags.idle_secs.unwrap_or(30)),
                     ..ServeConfig::default()
                 };

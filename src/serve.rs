@@ -56,9 +56,10 @@
 //! The daemon writes exactly one snapshot per aggregate and never
 //! deletes one: every persisted file is live state.
 
+use crate::analyses::dead::dead_value_metrics_csr;
 use crate::analyses::{
-    dead_value_metrics, diff_rankings, rank_structures_with, ranked_keys, render_report,
-    CostBenefitConfig, DiffConfig, IncrementalAnalyzer, StructureCostBenefit,
+    diff_rankings, rank_structures_with, ranked_keys, render_report, CostBenefitConfig, DiffConfig,
+    IncrementalAnalyzer, StructureCostBenefit,
 };
 use crate::core::{
     read_snapshot, Aggregate, AlignedBuf, CostGraph, CostGraphConfig, GraphBuilder, IncrementalCsr,
@@ -980,7 +981,8 @@ fn run_query(state: &Arc<State>, toks: &[&str]) -> Result<String, String> {
             };
             let prog = state.resolve_program(program)?;
             let q = live_view(state, tenant, program)?;
-            let dead = dead_value_metrics(&q.view.graph, q.total);
+            // The live CSR shares the materialised graph's node ids.
+            let dead = dead_value_metrics_csr(q.inc.csr(), q.total);
             let mut out = render_report(&prog, q.ranked(), top, Some(&dead));
             out.push_str("end\n");
             Ok(out)

@@ -4,6 +4,7 @@
 //! canonical view from scratch after every absorb, on every workload,
 //! under every absorb order.
 
+use lowutil::analyses::dead::{dead_value_metrics, dead_value_metrics_csr};
 use lowutil::analyses::{
     low_utility_report_batch, low_utility_report_with, CostBenefitConfig, IncrementalAnalyzer,
 };
@@ -112,6 +113,12 @@ fn check_order(program: &Program, program_sessions: &[(CostGraph, u64)], order: 
         let warm =
             low_utility_report_with(program, &merged, &cfg, 10, None, &analyzer.engine(view));
         assert_eq!(cold, warm, "step {step}: ranked report differs");
+        // `serve`'s report measures dead values over the live CSR.
+        assert_eq!(
+            dead_value_metrics_csr(view.csr(), agg.total_instructions()),
+            dead_value_metrics(&merged, agg.total_instructions()),
+            "step {step}: dead-value metrics differ"
+        );
     }
 }
 
