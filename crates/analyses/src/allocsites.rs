@@ -9,7 +9,7 @@
 //! per allocation site, making its overhead negligible.
 
 use lowutil_ir::{AllocKind, AllocSiteId, Program};
-use lowutil_vm::{Event, Tracer};
+use lowutil_vm::{Event, EventSink};
 use std::collections::HashMap;
 
 /// Counts allocations per site.
@@ -64,8 +64,8 @@ impl AllocationProfiler {
     }
 }
 
-impl Tracer for AllocationProfiler {
-    fn instr(&mut self, event: &Event) {
+impl EventSink for AllocationProfiler {
+    fn event(&mut self, event: &Event) {
         if let Event::Alloc { site, .. } = event {
             *self.counts.entry(*site).or_insert(0) += 1;
             self.total += 1;

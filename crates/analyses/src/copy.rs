@@ -10,8 +10,8 @@
 //! funneled through.
 
 use lowutil_core::{AbstractDomain, AbstractProfiler, DepGraph, NodeId, NodeKind};
-use lowutil_ir::{AllocSiteId, FieldId, InstrId, ObjectId};
-use lowutil_vm::{Event, FrameInfo, ShadowStack};
+use lowutil_ir::{AllocSiteId, FieldId, InstrId, ObjectId, ThreadId};
+use lowutil_vm::{Event, FrameInfo, ShadowLanes};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -50,10 +50,9 @@ impl fmt::Display for CopySource {
 /// state.
 #[derive(Debug, Default)]
 pub struct CopyDomain {
-    origins: ShadowStack<CopySource>,
+    /// Origin shadows of locals and call plumbing, per guest thread.
+    origins: ShadowLanes<CopySource>,
     tags: HashMap<ObjectId, AllocSiteId>,
-    pending_args: Vec<CopySource>,
-    ret_stash: CopySource,
 }
 
 impl CopyDomain {
@@ -63,11 +62,11 @@ impl CopyDomain {
     }
 
     fn origin(&self, l: lowutil_ir::Local) -> CopySource {
-        *self.origins.get(l.index())
+        *self.origins.lane().stack.get(l.index())
     }
 
     fn set_origin(&mut self, l: lowutil_ir::Local, o: CopySource) {
-        self.origins.set(l.index(), o);
+        self.origins.lane_mut().stack.set(l.index(), o);
     }
 
     fn tag(&self, obj: ObjectId) -> Option<AllocSiteId> {
@@ -147,23 +146,19 @@ impl AbstractDomain for CopyDomain {
                 Some(CopySource::Bottom)
             }
             Event::Call { args, .. } => {
-                self.pending_args.clear();
-                for a in args {
-                    let o = self.origin(*a);
-                    self.pending_args.push(o);
-                }
+                let origins: Vec<_> = args.iter().map(|a| self.origin(*a)).collect();
+                self.origins.lane_mut().pending_args = origins;
                 None
             }
             Event::Return { src, .. } => {
-                self.ret_stash = src.map(|s| self.origin(s)).unwrap_or_default();
+                self.origins.lane_mut().ret_stash = src.map(|s| self.origin(s)).unwrap_or_default();
                 None
             }
             Event::CallComplete { dst, .. } => {
+                let o = std::mem::take(&mut self.origins.lane_mut().ret_stash);
                 if let Some(d) = dst {
-                    let o = self.ret_stash;
                     self.set_origin(*d, o);
                 }
-                self.ret_stash = CopySource::Bottom;
                 None
             }
             // A thread handle / join result is a fresh value, never a
@@ -183,16 +178,15 @@ impl AbstractDomain for CopyDomain {
     }
 
     fn frame_push(&mut self, info: &FrameInfo) {
-        self.origins.push(info.num_locals as usize);
-        for i in 0..info.num_args as usize {
-            let o = self.pending_args.get(i).copied().unwrap_or_default();
-            self.origins.set(i, o);
-        }
-        self.pending_args.clear();
+        self.origins.push_frame(info);
     }
 
     fn frame_pop(&mut self) {
-        self.origins.pop();
+        self.origins.pop_frame();
+    }
+
+    fn thread(&mut self, tid: ThreadId) {
+        self.origins.switch(tid);
     }
 }
 

@@ -4,7 +4,7 @@
 
 use lowutil_core::{CostGraph, NodeId};
 use lowutil_ir::{InstrId, MethodId, ObjectId, Program, StaticId};
-use lowutil_vm::{Event, Tracer};
+use lowutil_vm::{Event, EventSink};
 use std::collections::HashMap;
 
 /// Records taken/not-taken counts per predicate, to find conditions that
@@ -50,8 +50,8 @@ impl PredicateOutcomeTracer {
     }
 }
 
-impl Tracer for PredicateOutcomeTracer {
-    fn instr(&mut self, event: &Event) {
+impl EventSink for PredicateOutcomeTracer {
+    fn event(&mut self, event: &Event) {
         if let Event::Predicate { at, taken, .. } = event {
             let e = self.outcomes.entry(*at).or_insert((0, 0));
             if *taken {
@@ -123,8 +123,8 @@ impl DeadStoreTracer {
     }
 }
 
-impl Tracer for DeadStoreTracer {
-    fn instr(&mut self, event: &Event) {
+impl EventSink for DeadStoreTracer {
+    fn event(&mut self, event: &Event) {
         match event {
             Event::StoreField {
                 at, object, offset, ..

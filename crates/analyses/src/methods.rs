@@ -9,8 +9,8 @@
 //! (inclusive) costs, collapsing recursion via strongly connected
 //! components so mutual recursion does not double-count.
 
-use lowutil_ir::{MethodId, Program};
-use lowutil_vm::{Event, FrameInfo, Tracer};
+use lowutil_ir::{MethodId, Program, ThreadId};
+use lowutil_vm::{Event, EventSink, FrameInfo};
 use std::collections::{HashMap, HashSet};
 
 /// Records the dynamic call graph and per-method self costs.
@@ -22,7 +22,12 @@ pub struct CallGraphTracer {
     self_cost: HashMap<MethodId, u64>,
     /// Invocations per method.
     invocations: HashMap<MethodId, u64>,
-    stack: Vec<MethodId>,
+    /// The method of every live frame, one call stack per guest thread.
+    /// A spawned thread's stack starts with the spawning method, so its
+    /// root frame counts as called from there.
+    stacks: Vec<Vec<MethodId>>,
+    /// The running guest thread.
+    cur: usize,
 }
 
 impl CallGraphTracer {
@@ -42,20 +47,31 @@ impl CallGraphTracer {
     pub fn invocations(&self, m: MethodId) -> u64 {
         self.invocations.get(&m).copied().unwrap_or(0)
     }
+
+    /// Thread `t`'s call stack, created empty on first sight.
+    fn stack(&mut self, t: usize) -> &mut Vec<MethodId> {
+        if self.stacks.len() <= t {
+            self.stacks.resize_with(t + 1, Vec::new);
+        }
+        &mut self.stacks[t]
+    }
 }
 
-impl Tracer for CallGraphTracer {
-    fn instr(&mut self, event: &Event) {
-        // CallComplete is the second half of one call instruction.
-        if matches!(event, Event::CallComplete { .. }) {
-            return;
+impl EventSink for CallGraphTracer {
+    fn event(&mut self, event: &Event) {
+        match event {
+            // CallComplete is the second half of one call instruction.
+            Event::CallComplete { .. } => return,
+            Event::Spawn { at, thread, .. } => self.stack(thread.index()).push(at.method),
+            _ => {}
         }
         let at = event.at();
         *self.self_cost.entry(at.method).or_insert(0) += 1;
     }
 
     fn frame_push(&mut self, info: &FrameInfo) {
-        if let Some(&caller) = self.stack.last() {
+        let caller = self.stack(self.cur).last().copied();
+        if let Some(caller) = caller {
             *self
                 .edges
                 .entry(caller)
@@ -63,12 +79,16 @@ impl Tracer for CallGraphTracer {
                 .entry(info.method)
                 .or_insert(0) += 1;
         }
+        self.stack(self.cur).push(info.method);
         *self.invocations.entry(info.method).or_insert(0) += 1;
-        self.stack.push(info.method);
     }
 
     fn frame_pop(&mut self) {
-        self.stack.pop();
+        self.stacks[self.cur].pop();
+    }
+
+    fn thread(&mut self, tid: ThreadId) {
+        self.cur = tid.index();
     }
 }
 
@@ -466,5 +486,54 @@ method main/0 {
             .unwrap();
         assert_eq!(edge.2, 3);
         assert_eq!(t.invocations(helper), 3);
+    }
+
+    /// A spawned thread's root frame counts as called from the spawning
+    /// method, whatever another thread has on top of its stack when the
+    /// scheduler first runs it; a worker's calls stay on its own stack.
+    #[test]
+    fn spawned_threads_are_called_from_the_spawning_method() {
+        let p = parse_program(
+            r#"
+method leaf/1 {
+  r = p0 + p0
+  return r
+}
+method work/1 {
+  i = 0
+  one = 1
+l:
+  if i >= p0 goto d
+  x = call leaf(i)
+  i = i + one
+  goto l
+d:
+  return i
+}
+method main/0 {
+  n = 30
+  a = spawn work(n)
+  b = spawn work(n)
+  x = join a
+  y = join b
+  return
+}
+"#,
+        )
+        .expect("parse");
+        let id = |name: &str| p.method_by_name(name).expect("method exists");
+        for sched_seed in 0..4 {
+            let mut t = CallGraphTracer::new();
+            let config = lowutil_vm::RunConfig {
+                sched_seed,
+                ..lowutil_vm::RunConfig::default()
+            };
+            Vm::with_config(&p, config).run(&mut t).expect("run");
+            let mut edges: Vec<_> = t.edges().collect();
+            edges.sort_unstable();
+            let mut want = vec![(id("main"), id("work"), 2), (id("work"), id("leaf"), 60)];
+            want.sort_unstable();
+            assert_eq!(edges, want, "seed {sched_seed}");
+        }
     }
 }

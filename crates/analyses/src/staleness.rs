@@ -13,8 +13,8 @@ use crate::batch::CostEngine;
 use crate::cost::{rab_with, rac_with, CostBenefitConfig};
 use lowutil_core::CostGraph;
 use lowutil_ir::{AllocKind, AllocSiteId, ObjectId, Program};
-use lowutil_vm::{Event, Tracer};
-use std::collections::HashMap;
+use lowutil_vm::{Event, EventSink};
+use std::collections::{BTreeMap, HashMap};
 
 #[derive(Debug, Clone, Copy)]
 struct ObjRecord {
@@ -27,7 +27,9 @@ struct ObjRecord {
 #[derive(Debug, Default)]
 pub struct StalenessTracer {
     clock: u64,
-    objects: HashMap<ObjectId, ObjRecord>,
+    /// Ordered by object id, so the per-site float sums in
+    /// [`StalenessTracer::by_site`] add up in the same order every run.
+    objects: BTreeMap<ObjectId, ObjRecord>,
 }
 
 /// Aggregated staleness for one allocation site.
@@ -167,8 +169,8 @@ impl StalenessTracer {
     }
 }
 
-impl Tracer for StalenessTracer {
-    fn instr(&mut self, event: &Event) {
+impl EventSink for StalenessTracer {
+    fn event(&mut self, event: &Event) {
         self.clock += 1;
         match event {
             Event::Alloc { object, site, .. } => {

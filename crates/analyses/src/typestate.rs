@@ -12,7 +12,7 @@
 
 use lowutil_core::{DepGraph, NodeId, NodeKind};
 use lowutil_ir::{AllocKind, AllocSiteId, ClassId, InstrId, ObjectId, Program};
-use lowutil_vm::{Event, FrameInfo, Tracer};
+use lowutil_vm::{Event, EventSink, FrameInfo};
 use std::collections::HashMap;
 
 /// A state index within a [`Protocol`].
@@ -98,8 +98,8 @@ pub struct Violation {
     pub history: Vec<TypestateEvent>,
 }
 
-/// The typestate-history tracer. Attach to a VM run; query violations and
-/// per-site DFAs afterwards.
+/// The typestate-history tracer. Pass it to a VM run or a trace replay;
+/// query violations and per-site DFAs afterwards.
 #[derive(Debug)]
 pub struct TypestateTracer {
     protocol: Protocol,
@@ -237,8 +237,8 @@ impl TypestateTracer {
     }
 }
 
-impl Tracer for TypestateTracer {
-    fn instr(&mut self, event: &Event) {
+impl EventSink for TypestateTracer {
+    fn event(&mut self, event: &Event) {
         if let Event::Alloc { object, site, .. } = event {
             if self.site_kinds.get(site.index()).copied().unwrap_or(false) {
                 self.obj_state.insert(*object, self.protocol.initial);

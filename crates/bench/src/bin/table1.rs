@@ -398,8 +398,7 @@ fn main() {
                 let trace = read_trace(dir, name);
                 let (graph, _) = run_replayed(&w.program, CostGraphConfig::default(), &trace);
                 let reader = TraceReader::new(&trace).expect("recorded trace parses");
-                let mut sink = lowutil_vm::TracerSink(&mut conc);
-                reader.replay(&mut sink).expect("recorded trace replays");
+                reader.replay(&mut conc).expect("recorded trace replays");
                 (GraphStats::of(&graph), reader.trailer().instructions)
             }
         };

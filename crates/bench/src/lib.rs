@@ -16,7 +16,7 @@ use lowutil_core::shard::replay_cost_graph;
 use lowutil_core::{CostGraph, CostGraphConfig, CostProfiler};
 use lowutil_ir::Program;
 use lowutil_vm::trace::TraceStats;
-use lowutil_vm::{NullTracer, RunOutcome, SinkTracer, TraceReader, TraceWriter, Vm};
+use lowutil_vm::{NullTracer, RunOutcome, TraceReader, TraceWriter, Vm};
 use std::time::{Duration, Instant};
 
 /// Runs `program` uninstrumented, returning the outcome and wall time.
@@ -56,13 +56,13 @@ pub fn run_profiled(
 /// # Panics
 /// Panics if the program traps or the in-memory writer fails.
 pub fn run_recorded(program: &Program) -> (RunOutcome, Vec<u8>, TraceStats, Duration) {
-    let mut tracer = SinkTracer(TraceWriter::new(Vec::new()));
+    let mut writer = TraceWriter::new(Vec::new());
     let start = Instant::now();
     let out = Vm::new(program)
-        .run(&mut tracer)
+        .run(&mut writer)
         .expect("benchmark runs cleanly while recording");
     let elapsed = start.elapsed();
-    let (bytes, stats) = tracer.0.finish().expect("in-memory trace write succeeds");
+    let (bytes, stats) = writer.finish().expect("in-memory trace write succeeds");
     (out, bytes, stats, elapsed)
 }
 

@@ -11,7 +11,7 @@
 //! top of this module.
 
 use lowutil_ir::{InstrId, Local};
-use lowutil_vm::{Event, FrameInfo, ShadowHeap, ShadowStack, Tracer};
+use lowutil_vm::{Event, EventSink, FrameInfo, ShadowHeap, ShadowLanes};
 use std::collections::HashSet;
 
 /// Dense index of an instruction instance in a [`ConcreteGraph`].
@@ -123,26 +123,15 @@ impl ConcreteGraph {
     }
 }
 
-/// Per-guest-thread tracking state: the shadow stack aligned with that
-/// thread's call stack, plus its in-flight call arguments and return
-/// value. The shadow heap and statics stay shared, mirroring the VM's
-/// shared heap.
-#[derive(Debug, Default)]
-struct ThreadLane {
-    shadow_stack: ShadowStack<Option<InstanceId>>,
-    pending_args: Vec<Option<InstanceId>>,
-    ret_stash: Option<InstanceId>,
-}
-
 /// Builds a [`ConcreteGraph`] from VM events.
 #[derive(Debug)]
 pub struct ConcreteProfiler {
     mode: SlicingMode,
     graph: ConcreteGraph,
     occurrences: std::collections::HashMap<InstrId, u32>,
-    /// One lane per guest thread; `cur` tracks the scheduler's switches.
-    lanes: Vec<ThreadLane>,
-    cur: usize,
+    /// Shadow locals and call plumbing per guest thread; the shadow heap
+    /// and statics stay shared, mirroring the VM's shared heap.
+    lanes: ShadowLanes<Option<InstanceId>>,
     shadow_heap: ShadowHeap<Option<InstanceId>, ()>,
     shadow_statics: Vec<Option<InstanceId>>,
 }
@@ -154,8 +143,7 @@ impl ConcreteProfiler {
             mode,
             graph: ConcreteGraph::default(),
             occurrences: std::collections::HashMap::new(),
-            lanes: vec![ThreadLane::default()],
-            cur: 0,
+            lanes: ShadowLanes::new(),
             shadow_heap: ShadowHeap::new(()),
             shadow_statics: Vec::new(),
         }
@@ -166,20 +154,12 @@ impl ConcreteProfiler {
         self.graph
     }
 
-    fn lane(&self) -> &ThreadLane {
-        &self.lanes[self.cur]
-    }
-
-    fn lane_mut(&mut self) -> &mut ThreadLane {
-        &mut self.lanes[self.cur]
-    }
-
     fn shadow(&self, l: Local) -> Option<InstanceId> {
-        *self.lane().shadow_stack.get(l.index())
+        *self.lanes.lane().stack.get(l.index())
     }
 
     fn set_shadow(&mut self, l: Local, n: Option<InstanceId>) {
-        self.lane_mut().shadow_stack.set(l.index(), n);
+        self.lanes.lane_mut().stack.set(l.index(), n);
     }
 
     fn new_instance(&mut self, at: InstrId) -> InstanceId {
@@ -202,8 +182,8 @@ impl ConcreteProfiler {
     }
 }
 
-impl Tracer for ConcreteProfiler {
-    fn instr(&mut self, event: &Event) {
+impl EventSink for ConcreteProfiler {
+    fn event(&mut self, event: &Event) {
         match event {
             Event::Compute { at, dst, uses, .. } => {
                 let n = self.new_instance(*at);
@@ -319,15 +299,13 @@ impl Tracer for ConcreteProfiler {
             }
             Event::Call { args, .. } => {
                 let shadows: Vec<_> = args.iter().map(|a| self.shadow(*a)).collect();
-                let lane = self.lane_mut();
-                lane.pending_args.clear();
-                lane.pending_args.extend(shadows);
+                self.lanes.lane_mut().pending_args = shadows;
             }
             Event::Return { src, .. } => {
-                self.lane_mut().ret_stash = src.and_then(|s| self.shadow(s));
+                self.lanes.lane_mut().ret_stash = src.and_then(|s| self.shadow(s));
             }
             Event::CallComplete { dst, .. } => {
-                let stash = self.lane_mut().ret_stash.take();
+                let stash = self.lanes.lane_mut().ret_stash.take();
                 if let Some(d) = dst {
                     self.set_shadow(*d, stash);
                 }
@@ -361,24 +339,15 @@ impl Tracer for ConcreteProfiler {
     }
 
     fn frame_push(&mut self, info: &FrameInfo) {
-        let lane = self.lane_mut();
-        lane.shadow_stack.push(info.num_locals as usize);
-        for i in 0..info.num_args as usize {
-            let data = lane.pending_args.get(i).copied().flatten();
-            lane.shadow_stack.set(i, data);
-        }
-        lane.pending_args.clear();
+        self.lanes.push_frame(info);
     }
 
     fn frame_pop(&mut self) {
-        self.lane_mut().shadow_stack.pop();
+        self.lanes.pop_frame();
     }
 
     fn thread(&mut self, tid: lowutil_ir::ThreadId) {
-        self.cur = tid.index();
-        if self.lanes.len() <= self.cur {
-            self.lanes.resize_with(self.cur + 1, ThreadLane::default);
-        }
+        self.lanes.switch(tid);
     }
 }
 

@@ -100,7 +100,7 @@ impl ContextStack {
     /// Pops a frame.
     ///
     /// # Panics
-    /// Panics on underflow (a VM/tracer misalignment bug).
+    /// Panics on underflow (a VM/profiler misalignment bug).
     pub fn pop(&mut self) {
         self.frames.pop().expect("context stack underflow");
     }

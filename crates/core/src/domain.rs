@@ -11,12 +11,12 @@
 //!
 //! The null-origin and extended-copy-profiling clients in
 //! `lowutil-analyses` are instances of this framework; `G_cost`
-//! ([`crate::CostProfiler`]) is a hand-specialized instance that
+//! ([`crate::GraphBuilder`]) is a hand-specialized instance that
 //! additionally maintains heap-effect environments and reference edges.
 
 use crate::graph::{DepGraph, NodeId, NodeKind};
-use lowutil_ir::Local;
-use lowutil_vm::{Event, FrameInfo, ShadowHeap, ShadowStack, Tracer};
+use lowutil_ir::{Local, ThreadId};
+use lowutil_vm::{Event, EventSink, FrameInfo, ShadowHeap, ShadowLanes};
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -43,6 +43,12 @@ pub trait AbstractDomain {
 
     /// Observes a frame pop (optional).
     fn frame_pop(&mut self) {}
+
+    /// Observes a guest-thread switch (optional); domains that keep
+    /// per-frame state keep it per thread.
+    fn thread(&mut self, tid: ThreadId) {
+        let _ = tid;
+    }
 }
 
 /// Builds an abstract thin dependence graph for any [`AbstractDomain`].
@@ -50,11 +56,10 @@ pub trait AbstractDomain {
 pub struct AbstractProfiler<D: AbstractDomain> {
     domain: D,
     graph: DepGraph<D::Elem>,
-    shadow_stack: ShadowStack<Option<NodeId>>,
+    /// Shadow locals and call plumbing per guest thread.
+    lanes: ShadowLanes<Option<NodeId>>,
     shadow_heap: ShadowHeap<Option<NodeId>, ()>,
     shadow_statics: Vec<Option<NodeId>>,
-    pending_args: Vec<Option<NodeId>>,
-    ret_stash: Option<NodeId>,
 }
 
 impl<D: AbstractDomain> AbstractProfiler<D> {
@@ -63,11 +68,9 @@ impl<D: AbstractDomain> AbstractProfiler<D> {
         AbstractProfiler {
             domain,
             graph: DepGraph::new(),
-            shadow_stack: ShadowStack::new(),
+            lanes: ShadowLanes::new(),
             shadow_heap: ShadowHeap::new(()),
             shadow_statics: Vec::new(),
-            pending_args: Vec::new(),
-            ret_stash: None,
         }
     }
 
@@ -86,10 +89,11 @@ impl<D: AbstractDomain> AbstractProfiler<D> {
     /// trap-time clients (null-origin tracking reads the shadow of the
     /// faulting base pointer). Returns `None` if no frame is live.
     pub fn local_shadow(&self, l: Local) -> Option<NodeId> {
-        if self.shadow_stack.depth() == 0 {
+        let stack = &self.lanes.lane().stack;
+        if stack.depth() == 0 {
             return None;
         }
-        *self.shadow_stack.get(l.index())
+        *stack.get(l.index())
     }
 
     /// Consumes the profiler, returning the abstract graph and the domain.
@@ -98,11 +102,11 @@ impl<D: AbstractDomain> AbstractProfiler<D> {
     }
 
     fn shadow(&self, l: Local) -> Option<NodeId> {
-        *self.shadow_stack.get(l.index())
+        *self.lanes.lane().stack.get(l.index())
     }
 
     fn set_shadow(&mut self, l: Local, n: Option<NodeId>) {
-        self.shadow_stack.set(l.index(), n);
+        self.lanes.lane_mut().stack.set(l.index(), n);
     }
 
     fn kind_of(event: &Event) -> NodeKind {
@@ -189,26 +193,23 @@ impl<D: AbstractDomain> AbstractProfiler<D> {
     }
 }
 
-impl<D: AbstractDomain> Tracer for AbstractProfiler<D> {
-    fn instr(&mut self, event: &Event) {
+impl<D: AbstractDomain> EventSink for AbstractProfiler<D> {
+    fn event(&mut self, event: &Event) {
         // Call/return plumbing is domain-independent.
         match event {
             Event::Call { args, .. } => {
-                self.pending_args.clear();
-                for a in args {
-                    let s = self.shadow(*a);
-                    self.pending_args.push(s);
-                }
+                let shadows: Vec<_> = args.iter().map(|a| self.shadow(*a)).collect();
+                self.lanes.lane_mut().pending_args = shadows;
                 self.domain.classify(event);
                 return;
             }
             Event::Return { src, .. } => {
-                self.ret_stash = src.and_then(|s| self.shadow(s));
+                self.lanes.lane_mut().ret_stash = src.and_then(|s| self.shadow(s));
                 self.domain.classify(event);
                 return;
             }
             Event::CallComplete { dst, .. } => {
-                let stash = self.ret_stash.take();
+                let stash = self.lanes.lane_mut().ret_stash.take();
                 if let Some(d) = dst {
                     self.set_shadow(*d, stash);
                 }
@@ -236,18 +237,18 @@ impl<D: AbstractDomain> Tracer for AbstractProfiler<D> {
     }
 
     fn frame_push(&mut self, info: &FrameInfo) {
-        self.shadow_stack.push(info.num_locals as usize);
-        for i in 0..info.num_args as usize {
-            let data = self.pending_args.get(i).copied().flatten();
-            self.shadow_stack.set(i, data);
-        }
-        self.pending_args.clear();
+        self.lanes.push_frame(info);
         self.domain.frame_push(info);
     }
 
     fn frame_pop(&mut self) {
-        self.shadow_stack.pop();
+        self.lanes.pop_frame();
         self.domain.frame_pop();
+    }
+
+    fn thread(&mut self, tid: ThreadId) {
+        self.lanes.switch(tid);
+        self.domain.thread(tid);
     }
 }
 

@@ -1,8 +1,9 @@
 //! Construction of `G_cost`: the abstract thin dependence graph for
 //! cost-benefit analysis.
 //!
-//! [`CostProfiler`] implements the paper's Figure 4 instrumentation
-//! semantics as a [`Tracer`] over the VM's event stream:
+//! [`GraphBuilder`] (alias [`CostProfiler`]) implements the paper's
+//! Figure 4 instrumentation semantics as an [`EventSink`] over the VM's
+//! event stream, live or replayed:
 //!
 //! * every value-producing instruction becomes (or bumps) an abstract node
 //!   annotated with the *context slot* `h(c)` of the current
@@ -29,7 +30,7 @@ use crate::dense::{DenseDomain, DenseInterner, InstrIndexer};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::graph::{DepGraph, NodeId, NodeKind};
 use lowutil_ir::{AllocSiteId, FieldId, InstrId, Local, StaticId, ThreadId, Value};
-use lowutil_vm::{Event, EventSink, FrameInfo, ShadowHeap, ShadowStack, Tracer};
+use lowutil_vm::{Event, EventSink, FrameInfo, ShadowHeap, ShadowStack};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -182,10 +183,9 @@ impl Default for CostGraphConfig {
 /// Builds `G_cost` from an instruction-event *stream* — it does not care
 /// whether events come from a live VM run or from a replayed trace.
 ///
-/// This is the pure pipeline stage behind [`CostProfiler`]: it implements
-/// [`EventSink`], so it can terminate a replay pipeline directly
-/// (`TraceReader::replay(&mut builder)`), while [`CostProfiler`] adapts it
-/// to the VM's [`Tracer`] hook for live profiling.
+/// It implements [`EventSink`], so the same value profiles a live run
+/// (`Vm::run(&mut builder)`, under its alias [`CostProfiler`]) or
+/// terminates a replay (`TraceReader::replay(&mut builder)`).
 #[derive(Debug)]
 pub struct GraphBuilder {
     config: CostGraphConfig,
@@ -352,31 +352,6 @@ impl GraphBuilder {
         }
     }
 
-    /// Switches the builder to `tid`'s thread-local state, creating it
-    /// on first sight: the running thread's state is parked in its
-    /// `threads` slot and `tid`'s is moved into `run`. A new thread's
-    /// pending arguments are whatever the spawning thread stashed for
-    /// it. Idempotent for the current thread, so callers may invoke it
-    /// per segment unconditionally.
-    pub fn thread(&mut self, tid: ThreadId) {
-        let idx = tid.index();
-        if idx == self.cur {
-            return;
-        }
-        while self.threads.len() <= idx {
-            let t = ThreadId(self.threads.len() as u32);
-            let mut state = ThreadState::new(t);
-            if let Some(args) = self.spawn_args.remove(&t.0) {
-                state.pending_args = args;
-            }
-            self.threads.push(state);
-        }
-        std::mem::swap(&mut self.run, &mut self.threads[self.cur]);
-        self.cur = idx;
-        std::mem::swap(&mut self.run, &mut self.threads[idx]);
-        self.g = self.run.contexts.current();
-    }
-
     #[inline]
     fn shadow(&self, l: Local) -> Option<NodeId> {
         *self.run.shadow_stack.get(l.index())
@@ -539,9 +514,11 @@ impl GraphBuilder {
             self.shadow_heap.approx_bytes(),
         )
     }
+}
 
+impl EventSink for GraphBuilder {
     /// Consumes one instruction event (the Figure 4 semantics).
-    pub fn event(&mut self, event: &Event) {
+    fn event(&mut self, event: &Event) {
         if let Event::Phase { begin, .. } = event {
             if self.config.phase_limited {
                 self.armed = *begin;
@@ -795,7 +772,7 @@ impl GraphBuilder {
     }
 
     /// Consumes a frame push (rule METHOD ENTRY).
-    pub fn frame_push(&mut self, info: &FrameInfo) {
+    fn frame_push(&mut self, info: &FrameInfo) {
         let receiver_site = info
             .receiver
             .and_then(|o| self.shadow_heap.tag(o))
@@ -816,7 +793,7 @@ impl GraphBuilder {
 
     /// Consumes a frame pop. Popping a thread's root frame records the
     /// return-value node for a later `Join`.
-    pub fn frame_pop(&mut self) {
+    fn frame_pop(&mut self) {
         let run = &mut self.run;
         run.shadow_stack.pop();
         run.contexts.pop();
@@ -826,64 +803,36 @@ impl GraphBuilder {
             self.thread_rets.insert(self.cur as u32, ret);
         }
     }
-}
 
-impl EventSink for GraphBuilder {
-    fn event(&mut self, event: &Event) {
-        GraphBuilder::event(self, event);
-    }
-
-    fn frame_push(&mut self, info: &FrameInfo) {
-        GraphBuilder::frame_push(self, info);
-    }
-
-    fn frame_pop(&mut self) {
-        GraphBuilder::frame_pop(self);
-    }
-
+    /// Switches the builder to `tid`'s thread-local state, creating it
+    /// on first sight: the running thread's state is parked in its
+    /// `threads` slot and `tid`'s is moved into `run`. A new thread's
+    /// pending arguments are whatever the spawning thread stashed for
+    /// it. Idempotent for the current thread, so callers may invoke it
+    /// per segment unconditionally.
     fn thread(&mut self, tid: ThreadId) {
-        GraphBuilder::thread(self, tid);
-    }
-}
-
-/// Builds `G_cost` online while the VM runs: the [`Tracer`]-facing
-/// adapter over [`GraphBuilder`]. See the module docs.
-#[derive(Debug)]
-pub struct CostProfiler {
-    builder: GraphBuilder,
-}
-
-impl CostProfiler {
-    /// Creates a profiler; see [`GraphBuilder::new`].
-    pub fn new(program: &lowutil_ir::Program, config: CostGraphConfig) -> Self {
-        CostProfiler {
-            builder: GraphBuilder::new(program, config),
+        let idx = tid.index();
+        if idx == self.cur {
+            return;
         }
-    }
-
-    /// Consumes the profiler, producing the analysis-ready [`CostGraph`].
-    pub fn finish(self) -> CostGraph {
-        self.builder.finish()
-    }
-}
-
-impl Tracer for CostProfiler {
-    fn instr(&mut self, event: &Event) {
-        self.builder.event(event);
-    }
-
-    fn frame_push(&mut self, info: &FrameInfo) {
-        self.builder.frame_push(info);
-    }
-
-    fn frame_pop(&mut self) {
-        self.builder.frame_pop();
-    }
-
-    fn thread(&mut self, tid: ThreadId) {
-        self.builder.thread(tid);
+        while self.threads.len() <= idx {
+            let t = ThreadId(self.threads.len() as u32);
+            let mut state = ThreadState::new(t);
+            if let Some(args) = self.spawn_args.remove(&t.0) {
+                state.pending_args = args;
+            }
+            self.threads.push(state);
+        }
+        std::mem::swap(&mut self.run, &mut self.threads[self.cur]);
+        self.cur = idx;
+        std::mem::swap(&mut self.run, &mut self.threads[idx]);
+        self.g = self.run.contexts.current();
     }
 }
+
+/// Builds `G_cost` online while the VM runs: the live profiler is the
+/// replay builder itself, passed straight to `Vm::run`.
+pub type CostProfiler = GraphBuilder;
 
 /// The finished `G_cost`: the abstract thin dependence graph plus the
 /// heap-effect side tables every client analysis consumes.

@@ -21,6 +21,7 @@ use crate::gcost::{CostElem, CostGraph, CostGraphConfig, FieldKey, HeapEffect, T
 use crate::graph::{DepGraph, NodeId, NodeKind};
 use lowutil_ir::{InstrId, Program};
 use lowutil_vm::trace::{Segment, TraceError, TraceReader};
+use lowutil_vm::EventSink;
 
 /// Sequentially replays a whole trace through a fresh [`GraphBuilder`](crate::GraphBuilder),
 /// with [`TraceReader::replay`]'s dense thread and object id checks.
@@ -384,7 +385,7 @@ mod tests {
     use crate::gcost::GraphBuilder;
     use lowutil_ir::parse_program;
     use lowutil_vm::trace::TraceWriter;
-    use lowutil_vm::{SinkTracer, Vm};
+    use lowutil_vm::Vm;
 
     /// Serializes canonically for byte comparison.
     fn bytes_of(g: &CostGraph) -> Vec<u8> {
@@ -400,10 +401,9 @@ mod tests {
         let p = parse_program(src).expect("parse");
         let mut builder = GraphBuilder::new(&p, config);
         let mut writer = TraceWriter::with_segment_limit(Vec::new(), limit);
-        {
-            let mut tracer = SinkTracer((&mut builder, &mut writer));
-            Vm::new(&p).run(&mut tracer).expect("program runs");
-        }
+        Vm::new(&p)
+            .run(&mut (&mut builder, &mut writer))
+            .expect("program runs");
         let live = bytes_of(&builder.finish());
         let (trace, _) = writer.finish().unwrap();
 
@@ -535,16 +535,13 @@ done:
         let p = parse_program(THREADED_SRC).expect("parse");
         let mut builder = GraphBuilder::new(&p, config);
         let mut writer = TraceWriter::with_segment_limit(Vec::new(), limit);
-        {
-            let mut tracer = SinkTracer((&mut builder, &mut writer));
-            let rc = lowutil_vm::RunConfig {
-                sched_seed,
-                ..lowutil_vm::RunConfig::default()
-            };
-            lowutil_vm::Vm::with_config(&p, rc)
-                .run(&mut tracer)
-                .expect("program runs");
-        }
+        let rc = lowutil_vm::RunConfig {
+            sched_seed,
+            ..lowutil_vm::RunConfig::default()
+        };
+        lowutil_vm::Vm::with_config(&p, rc)
+            .run(&mut (&mut builder, &mut writer))
+            .expect("program runs");
         let live = bytes_of(&builder.finish());
         let (trace, _) = writer.finish().unwrap();
         let reader = TraceReader::new(&trace).expect("trace parses");
@@ -649,10 +646,9 @@ method double/1 {
     fn session_graphs() -> Vec<(CostGraph, u64)> {
         let p = parse_program(CROSS_SEGMENT_SRC).expect("parse");
         let config = CostGraphConfig::default();
-        let writer = TraceWriter::with_segment_limit(Vec::new(), 2);
-        let mut t = SinkTracer(writer);
-        Vm::new(&p).run(&mut t).expect("program runs");
-        let (trace, _) = t.0.finish().unwrap();
+        let mut writer = TraceWriter::with_segment_limit(Vec::new(), 2);
+        Vm::new(&p).run(&mut writer).expect("program runs");
+        let (trace, _) = writer.finish().unwrap();
 
         let mut sessions = Vec::new();
         let full = TraceReader::new(&trace).expect("trace parses");

@@ -22,7 +22,7 @@
 mod pipeline;
 mod replay;
 
-pub use pipeline::{auto_pipeline_jobs, run_pipelined, PipelineOptions, PipelineTracer};
+pub use pipeline::{auto_pipeline_jobs, run_pipelined, PipelineOptions};
 pub use replay::replay_gcost;
 
 use std::sync::atomic::{AtomicUsize, Ordering};

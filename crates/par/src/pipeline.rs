@@ -23,16 +23,13 @@ pub fn auto_pipeline_jobs() -> usize {
     crate::default_jobs().saturating_sub(1)
 }
 
-/// The tracer [`run_pipelined`] hands to its run closure.
-pub type PipelineTracer = CostProfiler;
-
 /// Calls `run` with a fresh [`CostProfiler`] and returns the closure's
 /// result and the finished graph. `opts` is ignored.
 pub fn run_pipelined<R>(
     program: &Program,
     config: CostGraphConfig,
     _opts: &PipelineOptions,
-    run: impl FnOnce(&mut PipelineTracer) -> R,
+    run: impl FnOnce(&mut CostProfiler) -> R,
 ) -> (R, CostGraph) {
     let mut prof = CostProfiler::new(program, config);
     let r = run(&mut prof);

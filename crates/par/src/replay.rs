@@ -42,7 +42,7 @@ mod tests {
     use lowutil_core::{write_cost_graph, GraphBuilder};
     use lowutil_ir::parse_program;
     use lowutil_vm::trace::TraceWriter;
-    use lowutil_vm::{SinkTracer, Vm};
+    use lowutil_vm::Vm;
 
     fn bytes_of(g: &CostGraph) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -90,10 +90,7 @@ method sum/2 {
         let config = CostGraphConfig::default();
         let mut builder = GraphBuilder::new(&p, config);
         let mut writer = TraceWriter::with_segment_limit(Vec::new(), 4);
-        {
-            let mut tracer = SinkTracer((&mut builder, &mut writer));
-            Vm::new(&p).run(&mut tracer).unwrap();
-        }
+        Vm::new(&p).run(&mut (&mut builder, &mut writer)).unwrap();
         let live = bytes_of(&builder.finish());
         let (trace, stats) = writer.finish().unwrap();
         assert!(stats.segments > 2, "test must span several segments");

@@ -11,7 +11,7 @@ use lowutil_core::shard::{replay_cost_graph, replay_segments};
 use lowutil_core::{write_cost_graph, CostGraph, CostGraphConfig, GraphBuilder};
 use lowutil_ir::Program;
 use lowutil_vm::trace::TraceReader;
-use lowutil_vm::{SinkTracer, TraceStats, TraceWriter, Vm};
+use lowutil_vm::{TraceStats, TraceWriter, Vm};
 
 /// The canonical byte serialization of a cost graph — the form in which
 /// "identical" is judged everywhere in the workspace.
@@ -37,10 +37,9 @@ pub fn record_with_live_graph(
 ) -> (Vec<u8>, TraceStats, CostGraph) {
     let mut builder = GraphBuilder::new(program, config);
     let mut writer = TraceWriter::with_segment_limit(Vec::new(), segment_limit);
-    {
-        let mut tracer = SinkTracer((&mut builder, &mut writer));
-        Vm::new(program).run(&mut tracer).expect("program runs");
-    }
+    Vm::new(program)
+        .run(&mut (&mut builder, &mut writer))
+        .expect("program runs");
     let (bytes, stats) = writer.finish().expect("in-memory write cannot fail");
     (bytes, stats, builder.finish())
 }

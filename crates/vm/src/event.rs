@@ -9,8 +9,8 @@
 //! instruction instances without re-querying the VM.
 //!
 //! Frame pushes and pops are reported separately via
-//! [`Tracer::frame_push`](crate::Tracer::frame_push) /
-//! [`Tracer::frame_pop`](crate::Tracer::frame_pop), because tracers
+//! [`EventSink::frame_push`](crate::EventSink::frame_push) /
+//! [`EventSink::frame_pop`](crate::EventSink::frame_pop), because sinks
 //! maintain shadow stacks aligned with the VM call stack.
 
 use lowutil_ir::{
@@ -41,7 +41,7 @@ pub struct FrameInfo {
     pub num_args: u16,
 }
 
-/// One executed instruction, as seen by a [`Tracer`](crate::Tracer).
+/// One executed instruction, as seen by an [`EventSink`](crate::EventSink).
 ///
 /// `at` is always the executing static instruction; `value` fields carry
 /// runtime values for value-sensitive domains.
@@ -190,7 +190,7 @@ pub enum Event {
         value: Value,
     },
     /// A call instruction, reported *before* the callee frame is pushed.
-    /// Tracers push the tracking data of `args` onto their tracking stack
+    /// Profilers push the tracking data of `args` onto their tracking stack
     /// (the paper's call-part rule).
     Call {
         /// The executing call instruction.
@@ -201,7 +201,7 @@ pub enum Event {
         args: Vec<Local>,
     },
     /// A `return` instruction, reported *before* the frame is popped.
-    /// Tracers stash the tracking data of `src` (rule RETURN).
+    /// Profilers stash the tracking data of `src` (rule RETURN).
     Return {
         /// The executing return instruction.
         at: InstrId,

@@ -2,13 +2,13 @@
 //!
 //! An iterative (explicit-call-stack) interpreter over validated
 //! [`Program`]s. Every executed instruction is counted and reported to the
-//! attached [`Tracer`]; runtime failures surface as [`Trap`]s carrying the
+//! attached [`EventSink`]; runtime failures surface as [`Trap`]s carrying the
 //! faulting instruction, which the null-origin analysis uses as its seed.
 
 use crate::event::{Event, FrameInfo};
 use crate::heap::Heap;
 use crate::natives::{NativeKind, NativeRegistry, NativeState};
-use crate::tracer::Tracer;
+use crate::sink::EventSink;
 use lowutil_ir::{
     BinOp, Callee, ClassId, CmpOp, Instr, InstrId, Local, MethodId, Pc, Program, ThreadId, UnOp,
     Value,
@@ -219,7 +219,7 @@ struct GuestThread {
     locals: Vec<Value>,
     status: ThreadStatus,
     /// Entry method and argument values, pushed as the root frame the
-    /// first time the scheduler runs this thread (so the tracer sees the
+    /// first time the scheduler runs this thread (so the sink sees the
     /// frame push on the thread it belongs to).
     start: Option<(MethodId, Vec<Value>)>,
 }
@@ -256,7 +256,7 @@ impl SchedRng {
 /// The interpreter.
 ///
 /// A `Vm` borrows a validated [`Program`]; each [`Vm::run`] executes the
-/// program's entry method from a fresh heap under the given [`Tracer`].
+/// program's entry method from a fresh heap under the given [`EventSink`].
 #[derive(Debug)]
 pub struct Vm<'p> {
     program: &'p Program,
@@ -286,19 +286,19 @@ impl<'p> Vm<'p> {
     ///
     /// # Errors
     /// Returns a [`Trap`] on any runtime failure; see [`TrapKind`].
-    pub fn run<T: Tracer>(&self, tracer: &mut T) -> Result<RunOutcome, Trap> {
-        self.run_method(self.program.entry(), &[], tracer)
+    pub fn run<T: EventSink>(&self, sink: &mut T) -> Result<RunOutcome, Trap> {
+        self.run_method(self.program.entry(), &[], sink)
     }
 
     /// Executes an arbitrary method with the given argument values.
     ///
     /// # Errors
     /// Returns a [`Trap`] on any runtime failure; see [`TrapKind`].
-    pub fn run_method<T: Tracer>(
+    pub fn run_method<T: EventSink>(
         &self,
         entry: MethodId,
         args: &[Value],
-        tracer: &mut T,
+        sink: &mut T,
     ) -> Result<RunOutcome, Trap> {
         Interp {
             program: self.program,
@@ -320,7 +320,7 @@ impl<'p> Vm<'p> {
             output: Vec::new(),
             statics: Vec::new(),
         }
-        .run(entry, args, tracer)
+        .run(entry, args, sink)
     }
 }
 
@@ -355,13 +355,13 @@ impl<'p> Interp<'p> {
     /// Opens `method`'s window on top of the running thread's slot array
     /// and makes it the running frame: its first slots receive `args`,
     /// the rest start null.
-    fn push_frame<T: Tracer>(
+    fn push_frame<T: EventSink>(
         &mut self,
         method: MethodId,
         args: Args<'_>,
         ret_dst: Option<Local>,
         call_site: Option<InstrId>,
-        tracer: &mut T,
+        sink: &mut T,
     ) -> Result<(), TrapKind> {
         if self.stack.len() >= self.config.max_stack {
             return Err(TrapKind::StackOverflow);
@@ -397,7 +397,7 @@ impl<'p> Interp<'p> {
             call_site,
         });
         self.fp = base;
-        tracer.frame_push(&FrameInfo {
+        sink.frame_push(&FrameInfo {
             method,
             call_site,
             num_params: m.num_params(),
@@ -408,11 +408,11 @@ impl<'p> Interp<'p> {
         Ok(())
     }
 
-    fn run<T: Tracer>(
+    fn run<T: EventSink>(
         mut self,
         entry: MethodId,
         args: &[Value],
-        tracer: &mut T,
+        sink: &mut T,
     ) -> Result<RunOutcome, Trap> {
         self.threads.push(GuestThread {
             stack: Vec::new(),
@@ -432,7 +432,7 @@ impl<'p> Interp<'p> {
             // Pick a thread: keep the current one while it is runnable
             // and has quantum left, else round-robin to the next runnable
             // thread. A single-threaded program never switches, so the
-            // tracer's `thread` hook is never called — the event stream
+            // sink's `thread` hook is never called — the event stream
             // is byte-identical to the pre-thread VM.
             if quantum == 0 || self.threads[self.cur].status != ThreadStatus::Runnable {
                 let n = self.threads.len();
@@ -442,7 +442,7 @@ impl<'p> Interp<'p> {
                 match next {
                     Some(t) => {
                         if t != self.cur {
-                            tracer.thread(ThreadId(t as u32));
+                            sink.thread(ThreadId(t as u32));
                             self.swap_thread();
                             self.cur = t;
                             self.swap_thread();
@@ -479,7 +479,7 @@ impl<'p> Interp<'p> {
                 }
             }
             if let Some((m, start_args)) = self.threads[self.cur].start.take() {
-                self.push_frame(m, Args::Values(&start_args), None, None, tracer)
+                self.push_frame(m, Args::Values(&start_args), None, None, sink)
                     .map_err(|k| self.trap(InstrId::new(m, 0), k))?;
             }
 
@@ -518,7 +518,7 @@ impl<'p> Interp<'p> {
                 if self.phase_depth > 0 {
                     self.in_phase += 1;
                 }
-                match self.step(at, instr, tracer) {
+                match self.step(at, instr, sink) {
                     Ok(Step::Next) => pc += 1,
                     Ok(Step::Jump(target)) => pc = target,
                     Ok(Step::Enter) => {
@@ -533,7 +533,7 @@ impl<'p> Interp<'p> {
                     Ok(Step::Leave(value)) => {
                         let frame = self.stack.pop().expect("frame");
                         self.locals.truncate(frame.base);
-                        tracer.frame_pop();
+                        sink.frame_pop();
                         let Some(caller) = self.stack.last() else {
                             // Root frame returned: the thread is done, and
                             // its joiners can run again.
@@ -567,7 +567,7 @@ impl<'p> Interp<'p> {
                                 }
                             }
                         }
-                        tracer.instr(&Event::CallComplete {
+                        sink.event(&Event::CallComplete {
                             at: call_at,
                             dst,
                             value,
@@ -636,17 +636,17 @@ impl<'p> Interp<'p> {
         }
     }
 
-    fn step<T: Tracer>(
+    fn step<T: EventSink>(
         &mut self,
         at: InstrId,
         instr: &Instr,
-        tracer: &mut T,
+        sink: &mut T,
     ) -> Result<Step, TrapKind> {
         match instr {
             Instr::Const { dst, value } => {
                 let v = Value::from(*value);
                 self.set_local(*dst, v);
-                tracer.instr(&Event::Compute {
+                sink.event(&Event::Compute {
                     at,
                     dst: *dst,
                     uses: [None, None],
@@ -657,7 +657,7 @@ impl<'p> Interp<'p> {
             Instr::Move { dst, src } => {
                 let v = self.local(*src);
                 self.set_local(*dst, v);
-                tracer.instr(&Event::Compute {
+                sink.event(&Event::Compute {
                     at,
                     dst: *dst,
                     uses: [Some(*src), None],
@@ -668,7 +668,7 @@ impl<'p> Interp<'p> {
             Instr::Binop { dst, op, lhs, rhs } => {
                 let v = eval_binop(*op, self.local(*lhs), self.local(*rhs))?;
                 self.set_local(*dst, v);
-                tracer.instr(&Event::Compute {
+                sink.event(&Event::Compute {
                     at,
                     dst: *dst,
                     uses: [Some(*lhs), Some(*rhs)],
@@ -679,7 +679,7 @@ impl<'p> Interp<'p> {
             Instr::Unop { dst, op, src } => {
                 let v = eval_unop(*op, self.local(*src))?;
                 self.set_local(*dst, v);
-                tracer.instr(&Event::Compute {
+                sink.event(&Event::Compute {
                     at,
                     dst: *dst,
                     uses: [Some(*src), None],
@@ -691,7 +691,7 @@ impl<'p> Interp<'p> {
                 let b = eval_cmp(*op, self.local(*lhs), self.local(*rhs))?;
                 let v = Value::Int(i64::from(b));
                 self.set_local(*dst, v);
-                tracer.instr(&Event::Compute {
+                sink.event(&Event::Compute {
                     at,
                     dst: *dst,
                     uses: [Some(*lhs), Some(*rhs)],
@@ -706,7 +706,7 @@ impl<'p> Interp<'p> {
                 target,
             } => {
                 let taken = eval_cmp(*op, self.local(*lhs), self.local(*rhs))?;
-                tracer.instr(&Event::Predicate {
+                sink.event(&Event::Predicate {
                     at,
                     op: *op,
                     uses: [*lhs, *rhs],
@@ -719,7 +719,7 @@ impl<'p> Interp<'p> {
                 }
             }
             Instr::Jump { target } => {
-                tracer.instr(&Event::Jump { at });
+                sink.event(&Event::Jump { at });
                 Ok(Step::Jump(*target))
             }
             Instr::New { dst, class } => {
@@ -730,7 +730,7 @@ impl<'p> Interp<'p> {
                 let slots = self.program.class(*class).num_slots();
                 let obj = self.heap.alloc_object(*class, slots, site);
                 self.set_local(*dst, Value::Ref(obj));
-                tracer.instr(&Event::Alloc {
+                sink.event(&Event::Alloc {
                     at,
                     dst: *dst,
                     object: obj,
@@ -755,7 +755,7 @@ impl<'p> Interp<'p> {
                 };
                 let obj = self.heap.alloc_array(n, site);
                 self.set_local(*dst, Value::Ref(obj));
-                tracer.instr(&Event::Alloc {
+                sink.event(&Event::Alloc {
                     at,
                     dst: *dst,
                     object: obj,
@@ -774,7 +774,7 @@ impl<'p> Interp<'p> {
                     .ok_or(TrapKind::NoSuchField)?;
                 let v = ho.get(offset as usize).ok_or(TrapKind::NoSuchField)?;
                 self.set_local(*dst, v);
-                tracer.instr(&Event::LoadField {
+                sink.event(&Event::LoadField {
                     at,
                     dst: *dst,
                     base: *obj,
@@ -802,7 +802,7 @@ impl<'p> Interp<'p> {
                     .get_mut(o)
                     .expect("live object")
                     .set(offset as usize, v);
-                tracer.instr(&Event::StoreField {
+                sink.event(&Event::StoreField {
                     at,
                     base: *obj,
                     object: o,
@@ -816,7 +816,7 @@ impl<'p> Interp<'p> {
             Instr::GetStatic { dst, field } => {
                 let v = self.static_value(*field);
                 self.set_local(*dst, v);
-                tracer.instr(&Event::LoadStatic {
+                sink.event(&Event::LoadStatic {
                     at,
                     dst: *dst,
                     field: *field,
@@ -827,7 +827,7 @@ impl<'p> Interp<'p> {
             Instr::PutStatic { field, src } => {
                 let v = self.local(*src);
                 self.set_static(*field, v);
-                tracer.instr(&Event::StoreStatic {
+                sink.event(&Event::StoreStatic {
                     at,
                     field: *field,
                     src: *src,
@@ -839,7 +839,7 @@ impl<'p> Interp<'p> {
                 let o = self.as_object(*arr)?;
                 let (i, v) = self.array_read(o, *idx)?;
                 self.set_local(*dst, v);
-                tracer.instr(&Event::ArrayLoad {
+                sink.event(&Event::ArrayLoad {
                     at,
                     dst: *dst,
                     base: *arr,
@@ -858,7 +858,7 @@ impl<'p> Interp<'p> {
                     .get_mut(o)
                     .expect("live object")
                     .set(i as usize, v);
-                tracer.instr(&Event::ArrayStore {
+                sink.event(&Event::ArrayStore {
                     at,
                     base: *arr,
                     object: o,
@@ -879,7 +879,7 @@ impl<'p> Interp<'p> {
                 }
                 let v = Value::Int(ho.len() as i64);
                 self.set_local(*dst, v);
-                tracer.instr(&Event::ArrayLen {
+                sink.event(&Event::ArrayLen {
                     at,
                     dst: *dst,
                     base: *arr,
@@ -913,12 +913,12 @@ impl<'p> Interp<'p> {
                         found: args.len(),
                     });
                 }
-                tracer.instr(&Event::Call {
+                sink.event(&Event::Call {
                     at,
                     callee: target,
                     args: args.clone(),
                 });
-                self.push_frame(target, Args::Locals(args), *dst, Some(at), tracer)?;
+                self.push_frame(target, Args::Locals(args), *dst, Some(at), sink)?;
                 Ok(Step::Enter)
             }
             Instr::CallNative { dst, native, args } => {
@@ -926,12 +926,12 @@ impl<'p> Interp<'p> {
                 match kind {
                     NativeKind::PhaseBegin => {
                         self.phase_depth += 1;
-                        tracer.instr(&Event::Phase { at, begin: true });
+                        sink.event(&Event::Phase { at, begin: true });
                         return Ok(Step::Next);
                     }
                     NativeKind::PhaseEnd => {
                         self.phase_depth = self.phase_depth.saturating_sub(1);
-                        tracer.instr(&Event::Phase { at, begin: false });
+                        sink.event(&Event::Phase { at, begin: false });
                         return Ok(Step::Next);
                     }
                     _ => {}
@@ -944,7 +944,7 @@ impl<'p> Interp<'p> {
                 if let (Some(d), Some(v)) = (dst, value) {
                     self.set_local(*d, v);
                 }
-                tracer.instr(&Event::Native {
+                sink.event(&Event::Native {
                     at,
                     native: *native,
                     args: args.clone(),
@@ -955,7 +955,7 @@ impl<'p> Interp<'p> {
             }
             Instr::Return { src } => {
                 let value = src.map(|s| self.local(s));
-                tracer.instr(&Event::Return {
+                sink.event(&Event::Return {
                     at,
                     src: *src,
                     value,
@@ -976,7 +976,7 @@ impl<'p> Interp<'p> {
                 });
                 let v = Value::Int(i64::from(tid.0));
                 self.set_local(*dst, v);
-                tracer.instr(&Event::Spawn {
+                sink.event(&Event::Spawn {
                     at,
                     dst: *dst,
                     thread: tid,
@@ -1000,7 +1000,7 @@ impl<'p> Interp<'p> {
                         }
                     }
                 }
-                tracer.instr(&Event::Join {
+                sink.event(&Event::Join {
                     at,
                     dst: *dst,
                     thread: tid,
@@ -1175,8 +1175,7 @@ fn eval_cmp(op: CmpOp, a: Value, b: Value) -> Result<bool, TrapKind> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{CountingSink, SinkTracer};
-    use crate::tracer::{CountingTracer, NullTracer};
+    use crate::sink::{CountingSink, NullTracer};
     use lowutil_ir::{ConstValue, ProgramBuilder};
 
     fn simple_loop_program(n: i64) -> Program {
@@ -1215,11 +1214,11 @@ mod tests {
     }
 
     #[test]
-    fn counting_tracer_sees_every_instruction() {
+    fn counting_sink_sees_every_instruction() {
         let p = simple_loop_program(3);
-        let mut t = CountingTracer::new();
+        let mut t = CountingSink::new();
         let out = Vm::new(&p).run(&mut t).unwrap();
-        assert_eq!(t.instrs, out.instructions_executed);
+        assert_eq!(t.events, out.instructions_executed);
         assert_eq!(t.pushes, 1);
         assert_eq!(t.pops, 1);
     }
@@ -1395,12 +1394,12 @@ method main/0 {
                 ..RunConfig::default()
             },
         );
-        let mut frames = SinkTracer(CountingSink::new());
+        let mut frames = CountingSink::new();
         let e = vm.run(&mut frames).unwrap_err();
         assert_eq!(e.kind, TrapKind::StackOverflow);
         // The 64th frame's call is the one that overflows.
         assert_eq!(e.at, site(&p, "main", 0));
-        assert_eq!((frames.0.pushes, frames.0.pops), (64, 0));
+        assert_eq!((frames.pushes, frames.pops), (64, 0));
     }
 
     #[test]
@@ -1476,16 +1475,16 @@ loop:
 
     /// The program synchronizes only through join edges, so every
     /// scheduler seed must produce the same output, the same totals,
-    /// and the same per-tracer event count — only the interleaving
+    /// and the same per-sink event count — only the interleaving
     /// (and hence the switch count) may differ.
     #[test]
     fn scheduler_seed_cannot_change_results_of_race_free_programs() {
         let p = lowutil_ir::parse_program(FORK_JOIN_SRC).unwrap();
-        let mut base = CountingTracer::new();
+        let mut base = CountingSink::new();
         let out0 = Vm::new(&p).run(&mut base).unwrap();
         assert!(base.switches > 0, "fork/join must actually interleave");
         for seed in [1, 7, 0xDEAD_BEEF] {
-            let mut t = CountingTracer::new();
+            let mut t = CountingSink::new();
             let out = Vm::with_config(
                 &p,
                 RunConfig {
@@ -1501,7 +1500,7 @@ loop:
                 "seed {seed}"
             );
             assert_eq!(out.objects_allocated, out0.objects_allocated);
-            assert_eq!(t.instrs, base.instrs, "seed {seed}");
+            assert_eq!(t.events, base.events, "seed {seed}");
             assert_eq!((t.pushes, t.pops), (base.pushes, base.pops));
         }
     }
@@ -1509,7 +1508,7 @@ loop:
     #[test]
     fn single_threaded_runs_report_no_thread_switches() {
         let p = simple_loop_program(5);
-        let mut t = CountingTracer::new();
+        let mut t = CountingSink::new();
         Vm::new(&p).run(&mut t).unwrap();
         assert_eq!(t.switches, 0);
     }
@@ -1614,7 +1613,7 @@ l:
 }
 "#;
         let p = lowutil_ir::parse_program(src).unwrap();
-        let mut t = CountingTracer::new();
+        let mut t = CountingSink::new();
         let e = Vm::new(&p).run(&mut t).unwrap_err();
         assert_eq!(e.kind, TrapKind::Deadlock);
         assert_eq!(e.at, site(&p, "left", 0));

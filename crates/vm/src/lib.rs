@@ -7,12 +7,12 @@
 //! this crate *is* the managed runtime: a deterministic three-address-code
 //! interpreter over [`lowutil_ir`] programs that
 //!
-//! * emits a fine-grained [`Event`] to a [`Tracer`] for every executed
+//! * emits a fine-grained [`Event`] to an [`EventSink`] for every executed
 //!   instruction, carrying exactly the def/use information the paper's
 //!   instrumentation rules (Figure 4) consume,
 //! * tags every heap object with its allocation site,
-//! * provides reusable [`ShadowHeap`]/[`ShadowStack`] building blocks
-//!   mirroring the paper's shadow-memory machinery, and
+//! * provides reusable [`ShadowHeap`]/[`ShadowStack`]/[`ShadowLanes`]
+//!   building blocks mirroring the paper's shadow-memory machinery, and
 //! * supports *phase markers* so profiling can be limited to a steady-state
 //!   portion of a run (the paper's 5–10× overhead reduction mode).
 //!
@@ -48,17 +48,15 @@ mod natives;
 mod shadow;
 mod sink;
 pub mod trace;
-mod tracer;
 
 pub use crc::{crc32, Crc32};
 pub use event::{Event, FrameInfo};
 pub use heap::{Heap, HeapObject};
 pub use interp::{RunConfig, RunOutcome, Trap, TrapKind, Vm};
 pub use natives::{NativeKind, NativeRegistry, UnknownNativeError};
-pub use shadow::{ShadowHeap, ShadowStack};
-pub use sink::{CountingSink, EventSink, SinkTracer, TracerSink};
+pub use shadow::{ShadowHeap, ShadowLane, ShadowLanes, ShadowStack};
+pub use sink::{CountingSink, EventSink, NullTracer, SinkTracer};
 pub use trace::{
     SalvageStats, StreamingReader, TraceError, TraceReader, TraceStats, TraceWriter, Trailer,
     DEFAULT_STREAM_RECORD_LIMIT, TRACE_VERSION, TRACE_VERSION_V1, TRACE_VERSION_V2,
 };
-pub use tracer::{CountingTracer, NullTracer, Tracer};

@@ -12,11 +12,17 @@
 //! index. A push appends a window (`n` may be 0), a pop truncates the
 //! array back to the caller's window.
 //!
+//! Guest threads share the heap but not their call stacks, so
+//! [`ShadowLanes`] keeps one shadow stack (and the tracking data in
+//! flight across a call) per thread and follows the stream's
+//! [`EventSink::thread`](crate::EventSink::thread) switches.
+//!
 //! These structures are generic over the payload `T` (dependence-graph node
 //! references for the cost analyses; origin records for copy profiling) so
 //! every client analysis reuses the same machinery.
 
-use lowutil_ir::ObjectId;
+use crate::event::FrameInfo;
+use lowutil_ir::{ObjectId, ThreadId};
 
 /// Shadow locals for one guest thread's call stack: one flat slot array,
 /// each frame a window of it, aligned with the VM's frames.
@@ -78,6 +84,80 @@ impl<T: Clone + Default> ShadowStack<T> {
     #[inline]
     pub fn depth(&self) -> usize {
         self.bases.len()
+    }
+}
+
+/// One guest thread's shadow call state: its [`ShadowStack`] plus the
+/// tracking data in flight across a call.
+#[derive(Debug, Clone, Default)]
+pub struct ShadowLane<T> {
+    /// Shadow locals aligned with the thread's call stack.
+    pub stack: ShadowStack<T>,
+    /// Tracking data of the actuals of the call being made.
+    pub pending_args: Vec<T>,
+    /// Tracking data of the value being returned.
+    pub ret_stash: T,
+}
+
+/// The shadow call state of every guest thread, one [`ShadowLane`] each,
+/// with the running thread's lane selected by [`ShadowLanes::switch`].
+#[derive(Debug, Clone)]
+pub struct ShadowLanes<T> {
+    lanes: Vec<ShadowLane<T>>,
+    cur: usize,
+}
+
+impl<T: Clone + Default> Default for ShadowLanes<T> {
+    fn default() -> Self {
+        ShadowLanes {
+            lanes: vec![ShadowLane::default()],
+            cur: 0,
+        }
+    }
+}
+
+impl<T: Clone + Default> ShadowLanes<T> {
+    /// Creates the lanes with the main thread running.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The running thread's lane.
+    #[inline]
+    pub fn lane(&self) -> &ShadowLane<T> {
+        &self.lanes[self.cur]
+    }
+
+    /// The running thread's lane, mutably.
+    #[inline]
+    pub fn lane_mut(&mut self) -> &mut ShadowLane<T> {
+        &mut self.lanes[self.cur]
+    }
+
+    /// Makes `tid` the running thread, creating its lane on first sight.
+    pub fn switch(&mut self, tid: ThreadId) {
+        self.cur = tid.index();
+        if self.lanes.len() <= self.cur {
+            self.lanes.resize_with(self.cur + 1, ShadowLane::default);
+        }
+    }
+
+    /// Pushes a frame on the running thread; its formals receive the
+    /// pending actuals (rule METHOD ENTRY). A spawned thread's root frame
+    /// finds none, so its formals start at `T::default()`.
+    pub fn push_frame(&mut self, info: &FrameInfo) {
+        let lane = self.lane_mut();
+        lane.stack.push(info.num_locals as usize);
+        for i in 0..info.num_args as usize {
+            let data = lane.pending_args.get(i).cloned().unwrap_or_default();
+            lane.stack.set(i, data);
+        }
+        lane.pending_args.clear();
+    }
+
+    /// Pops the running thread's top frame.
+    pub fn pop_frame(&mut self) {
+        self.lane_mut().stack.pop();
     }
 }
 
@@ -200,6 +280,38 @@ mod tests {
     fn shadow_stack_pop_of_an_empty_stack_panics() {
         let mut s: ShadowStack<u32> = ShadowStack::new();
         s.pop();
+    }
+
+    /// Each guest thread has its own frames; pending actuals reach the
+    /// callee's formals on the thread that made the call.
+    #[test]
+    fn shadow_lanes_keep_one_stack_per_thread() {
+        let frame = |num_locals, num_args| FrameInfo {
+            method: lowutil_ir::MethodId(0),
+            call_site: None,
+            num_params: num_args,
+            num_locals,
+            receiver: None,
+            num_args,
+        };
+        let mut lanes: ShadowLanes<u32> = ShadowLanes::new();
+        lanes.push_frame(&frame(2, 0));
+        lanes.lane_mut().stack.set(1, 7);
+        lanes.lane_mut().pending_args = vec![9];
+        lanes.switch(ThreadId(2));
+        lanes.push_frame(&frame(1, 1));
+        assert_eq!(
+            *lanes.lane().stack.get(0),
+            0,
+            "a new thread's root gets no actuals"
+        );
+        lanes.switch(ThreadId::MAIN);
+        lanes.push_frame(&frame(1, 1));
+        assert_eq!(*lanes.lane().stack.get(0), 9, "the caller's actual arrives");
+        lanes.pop_frame();
+        assert_eq!(*lanes.lane().stack.get(1), 7, "main's frame is intact");
+        lanes.switch(ThreadId(2));
+        assert_eq!(lanes.lane().stack.depth(), 1);
     }
 
     #[test]

@@ -1,32 +1,37 @@
-//! The [`EventSink`] abstraction: consumers of an event *stream*.
+//! The [`EventSink`] trait: the one consumer interface of an instruction
+//! event stream, live or replayed.
 //!
-//! [`Tracer`](crate::Tracer) is the VM-facing hook; [`EventSink`] is the
-//! pipeline-facing one. The two are intentionally isomorphic (instruction
-//! events plus frame push/pop), and the adapters here convert in both
-//! directions:
+//! [`Vm::run`](crate::Vm::run) drives a sink from a live execution and
+//! [`TraceReader::replay`](crate::TraceReader::replay) drives one from a
+//! recorded trace, through the same four hooks in the same order, so a
+//! consumer cannot tell the two apart: a [`TraceWriter`](crate::TraceWriter)
+//! records a run, a profiler builds its graph, and a tuple `(a, b)` does
+//! both in one pass.
 //!
-//! * [`SinkTracer`] drives an `EventSink` from a live VM run — e.g. a
-//!   [`TraceWriter`](crate::trace::TraceWriter) recording the execution,
-//!   possibly tupled with a live profiler so one run both profiles and
-//!   records;
-//! * [`TracerSink`] drives a `Tracer` from a replayed stream — e.g.
-//!   feeding a recorded trace back into any existing profiler without the
-//!   profiler knowing it is not attached to a VM.
+//! Ordering for a call `r = m(a, b)`:
 //!
-//! Sinks observe the same ordering contract as tracers (documented on
-//! [`Tracer`](crate::Tracer)): for a call, `Call` event → `frame_push` →
-//! callee body → `Return` event → `frame_pop` → `CallComplete` event.
+//! 1. `event(Event::Call { … })`: tracking data for `a`, `b` is available
+//!    in the caller frame;
+//! 2. `frame_push(…)`: the callee frame exists; formals receive data;
+//! 3. … callee body events …
+//! 4. `event(Event::Return { … })`: still in the callee frame;
+//! 5. `frame_pop()`;
+//! 6. `event(Event::CallComplete { … })`: back in the caller frame.
+//!
+//! The entry frame is also announced via `frame_push` (with
+//! `call_site == None`), and its final `Return` is popped without a
+//! `CallComplete`.
 
 use crate::event::{Event, FrameInfo};
-use crate::tracer::Tracer;
 use lowutil_ir::ThreadId;
 
 /// A consumer of an instruction-event stream, live or replayed.
 ///
-/// Like [`Tracer`](crate::Tracer), the frame hooks default to no-ops so
-/// stateless consumers only implement [`EventSink::event`].
+/// The frame hooks let a consumer keep a shadow stack aligned with the VM
+/// call stack; they default to no-ops so stateless consumers only
+/// implement [`EventSink::event`].
 pub trait EventSink {
-    /// Called for every instruction event.
+    /// Called for every executed instruction.
     fn event(&mut self, event: &Event);
 
     /// Called when a frame is pushed (including the entry frame).
@@ -39,7 +44,9 @@ pub trait EventSink {
 
     /// Called when the stream switches guest threads: every subsequent
     /// hook belongs to `tid` until the next `thread` call. Never called
-    /// for single-threaded streams (see [`Tracer::thread`]).
+    /// for single-threaded streams (execution implicitly starts on
+    /// [`ThreadId::MAIN`]), so consumers unaware of threads keep working
+    /// unchanged on single-threaded workloads.
     fn thread(&mut self, tid: ThreadId) {
         let _ = tid;
     }
@@ -64,6 +71,7 @@ impl<S: EventSink + ?Sized> EventSink for &mut S {
 }
 
 /// Broadcasts to two sinks: `(a, b)` forwards every hook to `a` then `b`.
+/// Nest tuples for more, e.g. `((a, b), c)`.
 impl<A: EventSink, B: EventSink> EventSink for (A, B) {
     fn event(&mut self, event: &Event) {
         self.0.event(event);
@@ -86,14 +94,22 @@ impl<A: EventSink, B: EventSink> EventSink for (A, B) {
     }
 }
 
-/// Adapts an [`EventSink`] into a [`Tracer`] so it can be attached to a
-/// live VM run. The inner sink is public so callers can recover it (e.g.
-/// to finish a trace writer) after the run.
+/// A sink that ignores everything: the uninstrumented baseline.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NullTracer;
+
+impl EventSink for NullTracer {
+    fn event(&mut self, _event: &Event) {}
+}
+
+/// A forwarding newtype over a sink, kept because the benchmark harness
+/// under `perfbench/` still names it; it adds nothing, so new code passes
+/// the sink itself.
 #[derive(Debug)]
 pub struct SinkTracer<S: EventSink>(pub S);
 
-impl<S: EventSink> Tracer for SinkTracer<S> {
-    fn instr(&mut self, event: &Event) {
+impl<S: EventSink> EventSink for SinkTracer<S> {
+    fn event(&mut self, event: &Event) {
         self.0.event(event);
     }
 
@@ -110,32 +126,8 @@ impl<S: EventSink> Tracer for SinkTracer<S> {
     }
 }
 
-/// Adapts a [`Tracer`] into an [`EventSink`] so existing profilers can be
-/// driven from a replayed trace.
-#[derive(Debug)]
-pub struct TracerSink<T: Tracer>(pub T);
-
-impl<T: Tracer> EventSink for TracerSink<T> {
-    fn event(&mut self, event: &Event) {
-        self.0.instr(event);
-    }
-
-    fn frame_push(&mut self, info: &FrameInfo) {
-        self.0.frame_push(info);
-    }
-
-    fn frame_pop(&mut self) {
-        self.0.frame_pop();
-    }
-
-    fn thread(&mut self, tid: ThreadId) {
-        self.0.thread(tid);
-    }
-}
-
-/// Counts stream items without interpreting them — the sink-side analogue
-/// of [`CountingTracer`](crate::CountingTracer), with the frame hooks
-/// counted via the overridden default methods.
+/// Counts stream items without interpreting them; useful for tests and
+/// overhead calibration.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CountingSink {
     /// Number of instruction events seen.
@@ -176,7 +168,7 @@ impl EventSink for CountingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CountingTracer, Vm};
+    use crate::Vm;
     use lowutil_ir::{ConstValue, ProgramBuilder};
 
     /// A two-method program: `main` computes, calls `twice`, and prints.
@@ -204,8 +196,8 @@ mod tests {
     #[derive(Default)]
     struct OrderLog(Vec<String>);
 
-    impl Tracer for OrderLog {
-        fn instr(&mut self, event: &Event) {
+    impl EventSink for OrderLog {
+        fn event(&mut self, event: &Event) {
             let tag = match event {
                 Event::Compute { .. } => "compute",
                 Event::Call { .. } => "call",
@@ -226,7 +218,7 @@ mod tests {
         }
     }
 
-    /// Pins the ordering contract documented on `Tracer`: for a call,
+    /// Pins the ordering contract in the module docs: for a call,
     /// `Call` → `frame_push` → body → `Return` → `frame_pop` →
     /// `CallComplete`, with the entry frame announced via `frame_push`
     /// and the final `Return` popped without a `CallComplete`.
@@ -253,39 +245,15 @@ mod tests {
         );
     }
 
-    /// The counting adapters agree with each other and with the ordering
-    /// log, exercising the overridden frame-hook defaults on both the
-    /// tracer and sink sides.
+    /// The counter agrees with the ordering log, exercising the
+    /// overridden frame-hook defaults.
     #[test]
-    fn counting_adapters_count_frames() {
+    fn counting_sink_counts_frames() {
         let program = call_program();
-        let mut ct = CountingTracer::new();
-        Vm::new(&program).run(&mut ct).expect("program runs");
-        let mut cs = SinkTracer(CountingSink::new());
+        let mut cs = CountingSink::new();
         Vm::new(&program).run(&mut cs).expect("program runs");
-        let cs = cs.0;
-        assert_eq!(ct.instrs, cs.events);
-        assert_eq!((ct.pushes, ct.pops), (cs.pushes, cs.pops));
-        assert_eq!(ct.pushes, 2); // entry + one call
-        assert_eq!(ct.pops, 2);
-        assert_eq!(ct.instrs, 7); // 2 computes, call, return×2, complete, native
-    }
-
-    /// `TracerSink` round-trips a tracer through the sink interface.
-    #[test]
-    fn tracer_sink_forwards_all_hooks() {
-        let mut s = TracerSink(CountingTracer::new());
-        let at = lowutil_ir::InstrId::new(lowutil_ir::MethodId(0), 0);
-        s.event(&Event::Jump { at });
-        s.frame_push(&FrameInfo {
-            method: lowutil_ir::MethodId(0),
-            call_site: None,
-            num_params: 0,
-            num_locals: 0,
-            receiver: None,
-            num_args: 0,
-        });
-        s.frame_pop();
-        assert_eq!((s.0.instrs, s.0.pushes, s.0.pops), (1, 1, 1));
+        assert_eq!((cs.pushes, cs.pops), (2, 2)); // entry + one call
+        assert_eq!(cs.events, 7); // 2 computes, call, return×2, complete, native
+        assert_eq!(cs.switches, 0);
     }
 }

@@ -22,8 +22,7 @@
 //! All integers are LEB128 varints (zigzag for signed); floats are stored
 //! as their IEEE-754 bit pattern. The encoding is byte-exact: replaying a
 //! trace produces the identical event sequence, in order, that the live
-//! run produced, so any [`EventSink`] (including a full
-//! profiler behind a [`TracerSink`]) sees no
+//! run produced, so any [`EventSink`] (a full profiler included) sees no
 //! difference between live and recorded executions.
 //!
 //! # Format versions
@@ -59,8 +58,7 @@
 
 use crate::crc::{crc32, Crc32};
 use crate::event::{Event, FrameInfo};
-use crate::sink::{EventSink, TracerSink};
-use crate::tracer::NullTracer;
+use crate::sink::{EventSink, NullTracer};
 use lowutil_ir::{
     AllocSiteId, CmpOp, FieldId, InstrId, Local, MethodId, NativeId, ObjectId, StaticId, ThreadId,
     Value,
@@ -901,9 +899,9 @@ struct WriterFrame {
 
 /// An [`EventSink`] that serializes the stream to a [`Write`] target.
 ///
-/// Attach it to a live run via [`SinkTracer`](crate::SinkTracer) —
-/// optionally tupled with a profiler so one execution both profiles and
-/// records — then call [`TraceWriter::finish`] to flush the final segment
+/// Pass it to a live run via [`Vm::run`](crate::Vm::run) (optionally
+/// tupled with a profiler so one execution both profiles and records),
+/// then call [`TraceWriter::finish`] to flush the final segment
 /// and trailer. I/O errors are deferred: the sink hooks are infallible,
 /// so a failed write latches the error and `finish` reports it.
 #[derive(Debug)]
@@ -1743,7 +1741,8 @@ impl SalvageStats {
 
 /// A parsed in-memory trace. Parsing decodes segment framing and
 /// prologues eagerly (they are tiny) but leaves record payloads as byte
-/// slices, so handing segments to parallel workers costs nothing.
+/// slices; [`TraceReader::replay`] then decodes each segment once, in
+/// order, in one sequential pass on the calling thread.
 #[derive(Debug)]
 pub struct TraceReader<'a> {
     version: u64,
@@ -1832,7 +1831,7 @@ impl<'a> TraceReader<'a> {
                     }
                     // Trial-decode so a kept segment can never fail a
                     // later replay, and so the prefix totals are known.
-                    match prefix.segment(index, &seg, &mut TracerSink(NullTracer)) {
+                    match prefix.segment(index, &seg, &mut NullTracer) {
                         Ok(()) => {
                             segments.push(seg);
                             stats.segments_kept += 1;
@@ -2201,8 +2200,7 @@ impl StreamingReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{CountingSink, SinkTracer};
-    use crate::tracer::Tracer;
+    use crate::sink::CountingSink;
     use crate::Vm;
     use lowutil_ir::{BinOp, Program, ProgramBuilder};
 
@@ -2656,29 +2654,10 @@ mod tests {
         }
     }
 
-    impl Tracer for StreamLog {
-        fn instr(&mut self, e: &Event) {
-            EventSink::event(self, e);
-        }
-
-        fn frame_push(&mut self, info: &FrameInfo) {
-            EventSink::frame_push(self, info);
-        }
-
-        fn frame_pop(&mut self) {
-            EventSink::frame_pop(self);
-        }
-
-        fn thread(&mut self, tid: ThreadId) {
-            EventSink::thread(self, tid);
-        }
-    }
-
     fn record(program: &Program, limit: usize) -> (Vec<u8>, TraceStats, crate::RunOutcome) {
-        let writer = TraceWriter::with_segment_limit(Vec::new(), limit);
-        let mut t = SinkTracer(writer);
-        let out = Vm::new(program).run(&mut t).expect("program runs");
-        let (bytes, stats) = t.0.finish().expect("in-memory write cannot fail");
+        let mut writer = TraceWriter::with_segment_limit(Vec::new(), limit);
+        let out = Vm::new(program).run(&mut writer).expect("program runs");
+        let (bytes, stats) = writer.finish().expect("in-memory write cannot fail");
         (bytes, stats, out)
     }
 
@@ -3048,23 +3027,21 @@ mod tests {
         // Small caps fail mid-run; larger ones fail at the trailer. All
         // must surface the error at finish() without panicking.
         for cap in [0, 10, 100, 300] {
-            let writer = TraceWriter::with_segment_limit(FailingWriter { written: 0, cap }, 4);
-            let mut t = SinkTracer(writer);
-            Vm::new(&program).run(&mut t).expect("program runs");
-            let err = t.0.finish().expect_err("write must fail");
+            let mut writer = TraceWriter::with_segment_limit(FailingWriter { written: 0, cap }, 4);
+            Vm::new(&program).run(&mut writer).expect("program runs");
+            let err = writer.finish().expect_err("write must fail");
             assert_eq!(err.kind(), io::ErrorKind::StorageFull, "cap {cap}");
         }
         // And a cap with headroom succeeds outright.
-        let writer = TraceWriter::with_segment_limit(
+        let mut writer = TraceWriter::with_segment_limit(
             FailingWriter {
                 written: 0,
                 cap: 1 << 20,
             },
             4,
         );
-        let mut t = SinkTracer(writer);
-        Vm::new(&program).run(&mut t).expect("program runs");
-        t.0.finish().expect("roomy write succeeds");
+        Vm::new(&program).run(&mut writer).expect("program runs");
+        writer.finish().expect("roomy write succeeds");
     }
 
     /// Corrupt declared lengths and counts are rejected against the

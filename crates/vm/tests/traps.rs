@@ -3,7 +3,7 @@
 //! wrong answer or a panic.
 
 use lowutil_ir::{parse_program, ProgramBuilder, Value};
-use lowutil_vm::{CountingTracer, NullTracer, RunConfig, TrapKind, Vm};
+use lowutil_vm::{CountingSink, NullTracer, RunConfig, TrapKind, Vm};
 
 fn run_err(src: &str) -> lowutil_vm::Trap {
     let p = parse_program(src).expect("parse");
@@ -198,13 +198,13 @@ method main/0 {
 }
 
 #[test]
-fn tuple_tracer_combinator_forwards_to_both() {
+fn tuple_sink_combinator_forwards_to_both() {
     let src = "method main/0 {\n  x = 1\n  y = 2\n  z = x + y\n  return\n}\n";
     let p = parse_program(src).unwrap();
-    let mut pair = (CountingTracer::new(), CountingTracer::new());
+    let mut pair = (CountingSink::new(), CountingSink::new());
     Vm::new(&p).run(&mut pair).unwrap();
-    assert_eq!(pair.0.instrs, pair.1.instrs);
-    assert!(pair.0.instrs >= 4);
+    assert_eq!(pair.0.events, pair.1.events);
+    assert!(pair.0.events >= 4);
     assert_eq!(pair.0.pushes, 1);
     assert_eq!(pair.1.pops, 1);
 }

@@ -84,7 +84,7 @@ use lowutil::core::{
 };
 use lowutil::ir::{display_program, parse_program, Program};
 use lowutil::serve::{ServeConfig, Server};
-use lowutil::vm::{NullTracer, RunConfig, SinkTracer, TraceReader, TraceWriter, Vm};
+use lowutil::vm::{NullTracer, RunConfig, TraceReader, TraceWriter, Vm};
 use lowutil::workloads::{workload, WorkloadSize, NAMES};
 use std::process::ExitCode;
 
@@ -565,15 +565,14 @@ fn main() -> ExitCode {
                 let file = std::fs::File::create(out_path)
                     .map_err(|e| format!("cannot create {out_path}: {e}"))?;
                 let buf = std::io::BufWriter::new(file);
-                let writer = match flags.segment_limit {
+                let mut writer = match flags.segment_limit {
                     Some(limit) => TraceWriter::with_segment_limit(buf, limit),
                     None => TraceWriter::new(buf),
                 };
-                let mut tracer = SinkTracer(writer);
                 let out = make_vm(&p, &flags)
-                    .run(&mut tracer)
+                    .run(&mut writer)
                     .map_err(|e| e.to_string())?;
-                let (w, stats) = tracer.0.finish().map_err(|e| e.to_string())?;
+                let (w, stats) = writer.finish().map_err(|e| e.to_string())?;
                 w.into_inner().map_err(|e| format!("flush failed: {e}"))?;
                 for v in &out.output {
                     println!("{v}");

@@ -9,7 +9,7 @@
 use lowutil::core::{CostGraphConfig, GraphBuilder};
 use lowutil::ir::parse_program;
 use lowutil::vm::{
-    Event, EventSink, FrameInfo, SinkTracer, TraceReader, TraceWriter, Trailer, Vm, TRACE_VERSION,
+    Event, EventSink, FrameInfo, TraceReader, TraceWriter, Trailer, Vm, TRACE_VERSION,
     TRACE_VERSION_V1,
 };
 use lowutil_testkit::diff::canon;
@@ -36,11 +36,11 @@ fn golden_v1_fixture_replays_under_the_v2_reader() {
 
     // The replayed graph equals a live profile of the same program.
     let config = CostGraphConfig::default();
-    let mut builder = SinkTracer(GraphBuilder::new(&program, config));
+    let mut builder = GraphBuilder::new(&program, config);
     let out = Vm::new(&program)
         .run(&mut builder)
         .expect("golden program runs");
-    let live = builder.0.finish();
+    let live = builder.finish();
     assert_eq!(reader.trailer().instructions, out.instructions_executed);
     assert_eq!(
         reader.trailer().objects_allocated,
@@ -80,10 +80,11 @@ fn v2_recording_of_the_golden_program_differs_only_in_envelope() {
     // the same run totals. Where the writers split segments is not
     // compared: the v1 writer split only at frame pushes.
     let program = golden_program();
-    let writer = TraceWriter::with_segment_limit(Vec::new(), GOLDEN_SEGMENT_LIMIT);
-    let mut t = SinkTracer(writer);
-    Vm::new(&program).run(&mut t).expect("golden program runs");
-    let (bytes, _) = t.0.finish().expect("in-memory write succeeds");
+    let mut writer = TraceWriter::with_segment_limit(Vec::new(), GOLDEN_SEGMENT_LIMIT);
+    Vm::new(&program)
+        .run(&mut writer)
+        .expect("golden program runs");
+    let (bytes, _) = writer.finish().expect("in-memory write succeeds");
     let current = TraceReader::new(&bytes).expect("current trace parses");
     let v1 = TraceReader::new(GOLDEN_TRACE).expect("v1 trace parses");
     assert_eq!(current.version(), TRACE_VERSION);

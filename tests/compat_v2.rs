@@ -8,7 +8,7 @@
 
 use lowutil::core::{CostGraphConfig, GraphBuilder};
 use lowutil::ir::parse_program;
-use lowutil::vm::{SinkTracer, TraceReader, Vm, TRACE_VERSION_V2};
+use lowutil::vm::{TraceReader, Vm, TRACE_VERSION_V2};
 use lowutil_testkit::diff::canon;
 
 const GOLDEN_TRACE: &[u8] = include_bytes!("../samples/golden_v2.trace");
@@ -31,11 +31,11 @@ fn golden_v2_fixture_replays_under_the_v3_reader() {
 
     // The replayed graph equals a live profile of the same program.
     let config = CostGraphConfig::default();
-    let mut builder = SinkTracer(GraphBuilder::new(&program, config));
+    let mut builder = GraphBuilder::new(&program, config);
     let out = Vm::new(&program)
         .run(&mut builder)
         .expect("golden program runs");
-    let live = builder.0.finish();
+    let live = builder.finish();
     assert_eq!(reader.trailer().instructions, out.instructions_executed);
     let replayed =
         lowutil::core::replay_cost_graph(&program, config, &reader).expect("golden trace replays");

@@ -7,7 +7,7 @@
 
 use lowutil::core::{CostGraphConfig, GraphBuilder};
 use lowutil::ir::{parse_program, ThreadId};
-use lowutil::vm::{SinkTracer, TraceReader, Vm, TRACE_VERSION};
+use lowutil::vm::{TraceReader, Vm, TRACE_VERSION};
 use lowutil_testkit::diff::canon;
 
 const GOLDEN_TRACE: &[u8] = include_bytes!("../samples/golden_v3.trace");
@@ -33,11 +33,11 @@ fn golden_v3_fixture_replays_to_the_live_graph() {
         .all(|s| s.prologue().thread == ThreadId::MAIN));
 
     let config = CostGraphConfig::default();
-    let mut builder = SinkTracer(GraphBuilder::new(&program, config));
+    let mut builder = GraphBuilder::new(&program, config);
     let out = Vm::new(&program)
         .run(&mut builder)
         .expect("golden program runs");
-    let live = builder.0.finish();
+    let live = builder.finish();
     assert_eq!(reader.trailer().instructions, out.instructions_executed);
     assert_eq!(
         reader.trailer().objects_allocated,

@@ -13,11 +13,11 @@ use lowutil::core::{
     CostGraphConfig, IncrementalCsr,
 };
 use lowutil::ir::Program;
-use lowutil::vm::{RunConfig, SinkTracer, TraceReader, TraceWriter, Vm};
+use lowutil::vm::{RunConfig, TraceReader, TraceWriter, Vm};
 use lowutil::workloads::{workload, WorkloadSize, NAMES};
 
 fn record(program: &Program, sched_seed: u64) -> Vec<u8> {
-    let mut tracer = SinkTracer(TraceWriter::with_segment_limit(Vec::new(), 4096));
+    let mut writer = TraceWriter::with_segment_limit(Vec::new(), 4096);
     Vm::with_config(
         program,
         RunConfig {
@@ -25,9 +25,9 @@ fn record(program: &Program, sched_seed: u64) -> Vec<u8> {
             ..RunConfig::default()
         },
     )
-    .run(&mut tracer)
+    .run(&mut writer)
     .expect("workload runs");
-    tracer.0.finish().expect("trace finishes").0
+    writer.finish().expect("trace finishes").0
 }
 
 /// One session: the replayed cost graph plus its instruction count.

@@ -8,7 +8,7 @@
 //! and fails here.
 
 use lowutil::ir::{parse_program, Program};
-use lowutil::vm::{crc32, CountingTracer, RunConfig, SinkTracer, TraceWriter, Vm};
+use lowutil::vm::{crc32, CountingSink, RunConfig, TraceWriter, Vm};
 use lowutil::workloads::{workload, WorkloadSize};
 
 const THREADS_SOURCE: &str = include_str!("../samples/threads.lu");
@@ -24,19 +24,16 @@ struct Pin {
 
 fn record(p: &Program, sched_seed: u64) -> Pin {
     let mut writer = TraceWriter::new(Vec::new());
-    let mut counter = CountingTracer::new();
-    let out = {
-        let mut tracer = (SinkTracer(&mut writer), &mut counter);
-        Vm::with_config(
-            p,
-            RunConfig {
-                sched_seed,
-                ..RunConfig::default()
-            },
-        )
-        .run(&mut tracer)
-        .expect("program runs")
-    };
+    let mut counter = CountingSink::new();
+    let out = Vm::with_config(
+        p,
+        RunConfig {
+            sched_seed,
+            ..RunConfig::default()
+        },
+    )
+    .run(&mut (&mut writer, &mut counter))
+    .expect("program runs");
     let (bytes, _) = writer.finish().expect("in-memory write cannot fail");
     Pin {
         trace_len: bytes.len(),

@@ -5,11 +5,21 @@
 //! itself is stated once, in `lowutil_testkit::diff`; this file binds it
 //! to the suite workloads and adds the trailer bookkeeping checks.
 
-use lowutil::core::{replay_cost_graph, CostGraphConfig, GraphBuilder};
+use lowutil::analyses::{
+    copy_chains, copy_profiler, method_costs, null_tracking_profiler, AllocationProfiler,
+    CallGraphTracer, StalenessTracer,
+};
+use lowutil::core::{
+    replay_cost_graph, ConcreteProfiler, CostGraphConfig, DepGraph, GraphBuilder, InstanceId,
+    SlicingMode,
+};
+use lowutil::ir::Program;
 use lowutil::vm::trace::DEFAULT_SEGMENT_LIMIT;
-use lowutil::vm::{CountingSink, SinkTracer, StreamingReader, TraceReader, TraceWriter, Vm};
-use lowutil::workloads::{map_suite, WorkloadSize};
+use lowutil::vm::{CountingSink, EventSink, StreamingReader, TraceReader, TraceWriter, Vm};
+use lowutil::workloads::{map_suite, workload, WorkloadSize, CONCURRENT_NAMES};
 use lowutil_testkit::diff::{assert_live_replay_identical, canon, record_with_live_graph};
+use std::fmt::Debug;
+use std::hash::Hash;
 
 /// Records a trace while live-profiling in the same run (one VM pass,
 /// two sinks), then checks the replay against the live graph.
@@ -20,12 +30,9 @@ fn check_workload(program: &lowutil::ir::Program, config: CostGraphConfig, name:
     // Trailer bookkeeping: totals must match an independent re-run.
     let mut builder = GraphBuilder::new(program, config);
     let mut writer = TraceWriter::with_segment_limit(Vec::new(), 256);
-    let out = {
-        let mut tracer = SinkTracer((&mut builder, &mut writer));
-        Vm::new(program)
-            .run(&mut tracer)
-            .unwrap_or_else(|e| panic!("{name} trapped: {e}"))
-    };
+    let out = Vm::new(program)
+        .run(&mut (&mut builder, &mut writer))
+        .unwrap_or_else(|e| panic!("{name} trapped: {e}"));
     let (bytes2, stats) = writer.finish().expect("in-memory trace write succeeds");
     assert_eq!(bytes, bytes2, "{name}: recording is not deterministic");
     let _ = canon(&builder.finish());
@@ -109,11 +116,11 @@ fn suite_graphs_are_identical_with_inline_caches_on_and_off() {
 #[test]
 fn suite_segments_are_bounded_at_the_default_limits() {
     map_suite(WorkloadSize::Small, lowutil::par::default_jobs(), |w| {
-        let mut tracer = SinkTracer(TraceWriter::new(Vec::new()));
+        let mut writer = TraceWriter::new(Vec::new());
         Vm::new(&w.program)
-            .run(&mut tracer)
+            .run(&mut writer)
             .unwrap_or_else(|e| panic!("{} trapped: {e}", w.name));
-        let (bytes, _) = tracer.0.finish().expect("in-memory trace write succeeds");
+        let (bytes, _) = writer.finish().expect("in-memory trace write succeeds");
         let reader = TraceReader::new(&bytes).expect("trace parses");
         for (i, seg) in reader.segments().iter().enumerate() {
             let mut count = CountingSink::new();
@@ -131,4 +138,82 @@ fn suite_segments_are_bounded_at_the_default_limits() {
             .unwrap_or_else(|e| panic!("{}: {e}", w.name));
         assert!(stream.is_complete(), "{}", w.name);
     });
+}
+
+/// Every node of an abstract graph in id order, with its successors.
+fn dump_graph<D: Clone + Debug + Eq + Hash>(g: &DepGraph<D>) -> String {
+    g.iter()
+        .map(|(id, n)| format!("{n:?} -> {:?}\n", g.succs(id)))
+        .collect()
+}
+
+/// Runs the analysis clients over one event stream, live or replayed,
+/// and renders everything they found.
+fn run_clients(program: &Program, feed: impl FnOnce(&mut dyn EventSink)) -> String {
+    let mut copies = copy_profiler();
+    let mut nulls = null_tracking_profiler();
+    let mut calls = CallGraphTracer::new();
+    let mut allocs = AllocationProfiler::new();
+    let mut stale = StalenessTracer::new();
+    let mut concrete = ConcreteProfiler::new(SlicingMode::Thin);
+    feed(&mut (
+        (&mut copies, &mut nulls),
+        ((&mut calls, &mut allocs), (&mut stale, &mut concrete)),
+    ));
+    let (copy_graph, _) = copies.finish();
+    let (null_graph, _) = nulls.finish();
+    let mut edges: Vec<_> = calls.edges().collect();
+    edges.sort_unstable();
+    let concrete = concrete.finish();
+    let instances: Vec<_> = (0..concrete.num_instances() as u32)
+        .map(|i| {
+            let id = InstanceId(i);
+            (concrete.instance(id), concrete.preds(id).to_vec())
+        })
+        .collect();
+    format!(
+        "copies\n{}{:?}\nnulls\n{}calls {:?}\n{:?}\nallocs {} {:?}\nstale {:?}\nconcrete {:?}\n",
+        dump_graph(&copy_graph),
+        copy_chains(&copy_graph),
+        dump_graph(&null_graph),
+        edges,
+        method_costs(&calls, program),
+        allocs.total(),
+        allocs.hot_sites(),
+        stale.by_site(),
+        instances,
+    )
+}
+
+/// The analysis clients cannot tell a replayed trace from the live run
+/// that recorded it: each finds the same graphs, chains, call edges,
+/// allocation counts, staleness and concrete dependences. The programs
+/// include every multithreaded workload, so the replayed thread switches
+/// are checked too, and the small segment limit splits every trace.
+#[test]
+fn analysis_clients_replay_like_live() {
+    for name in ["bloat", "derby", "sunflow"]
+        .into_iter()
+        .chain(CONCURRENT_NAMES)
+    {
+        let w = workload(name, WorkloadSize::Small);
+        let mut writer = TraceWriter::with_segment_limit(Vec::new(), 256);
+        let live = run_clients(&w.program, |clients| {
+            Vm::new(&w.program)
+                .run(&mut (clients, &mut writer))
+                .unwrap_or_else(|e| panic!("{name} trapped: {e}"));
+        });
+        let (bytes, stats) = writer.finish().expect("in-memory trace write succeeds");
+        assert!(stats.segments > 1, "{name}: trace must span segments");
+        let reader = TraceReader::new(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let replayed = run_clients(&w.program, |mut clients| {
+            reader
+                .replay(&mut clients)
+                .unwrap_or_else(|e| panic!("{name}: replay failed: {e}"));
+        });
+        assert!(
+            live == replayed,
+            "{name}: replayed clients disagree with live"
+        );
+    }
 }

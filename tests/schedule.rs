@@ -9,7 +9,7 @@ use lowutil::core::{
     replay_cost_graph, write_cost_graph, CostGraph, CostGraphConfig, CostProfiler,
 };
 use lowutil::ir::Program;
-use lowutil::vm::{RunConfig, SinkTracer, TraceReader, TraceWriter, Vm};
+use lowutil::vm::{RunConfig, TraceReader, TraceWriter, Vm};
 use lowutil::workloads::{workload, WorkloadSize, CONCURRENT_NAMES};
 use lowutil_testkit::gen::{build, op_strategy};
 use proptest::prelude::*;
@@ -40,12 +40,9 @@ fn live(p: &Program, config: CostGraphConfig, seed: u64) -> (Vec<u8>, Vec<lowuti
 /// Records a trace under one scheduler seed.
 fn record(p: &Program, seed: u64, segment_limit: usize) -> Vec<u8> {
     let mut writer = TraceWriter::with_segment_limit(Vec::new(), segment_limit);
-    {
-        let mut tracer = SinkTracer(&mut writer);
-        vm_with_seed(p, seed)
-            .run(&mut tracer)
-            .expect("program runs");
-    }
+    vm_with_seed(p, seed)
+        .run(&mut writer)
+        .expect("program runs");
     let (bytes, _) = writer.finish().expect("in-memory write cannot fail");
     bytes
 }

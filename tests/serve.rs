@@ -6,7 +6,7 @@
 use lowutil::core::{content_hash, replay_cost_graph, Aggregate, CostGraphConfig};
 use lowutil::ir::Program;
 use lowutil::serve::{push_trace, request, spool_paths, ServeConfig, Server};
-use lowutil::vm::{RunConfig, SinkTracer, TraceReader, TraceWriter, Vm};
+use lowutil::vm::{RunConfig, TraceReader, TraceWriter, Vm};
 use lowutil::workloads::{workload, WorkloadSize};
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -19,7 +19,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn record(program: &Program, segment_limit: usize, sched_seed: u64) -> Vec<u8> {
-    let mut tracer = SinkTracer(TraceWriter::with_segment_limit(Vec::new(), segment_limit));
+    let mut writer = TraceWriter::with_segment_limit(Vec::new(), segment_limit);
     Vm::with_config(
         program,
         RunConfig {
@@ -27,9 +27,9 @@ fn record(program: &Program, segment_limit: usize, sched_seed: u64) -> Vec<u8> {
             ..RunConfig::default()
         },
     )
-    .run(&mut tracer)
+    .run(&mut writer)
     .expect("workload runs");
-    let (bytes, _) = tracer.0.finish().expect("trace finishes");
+    let (bytes, _) = writer.finish().expect("trace finishes");
     bytes
 }
 

@@ -14,7 +14,7 @@ use lowutil::ir::Program;
 use lowutil::serve::{push_trace, request, ServeConfig, Server};
 use lowutil::vm::trace::TRACE_MAGIC;
 use lowutil::vm::{
-    crc32, SinkTracer, TraceReader, TraceWriter, Vm, DEFAULT_STREAM_RECORD_LIMIT, TRACE_VERSION,
+    crc32, TraceReader, TraceWriter, Vm, DEFAULT_STREAM_RECORD_LIMIT, TRACE_VERSION,
 };
 use lowutil::workloads::{workload, WorkloadSize};
 use lowutil_testkit::alloc_guard::{self, GuardedAlloc};
@@ -50,9 +50,9 @@ fn tmpdir(tag: &str) -> PathBuf {
 /// Records `program` at segment limit 512, which splits even a short
 /// run into several framed segment records.
 fn record(program: &Program) -> (Vec<u8>, u64) {
-    let mut tracer = SinkTracer(TraceWriter::with_segment_limit(Vec::new(), 512));
-    Vm::new(program).run(&mut tracer).expect("workload runs");
-    let (bytes, stats) = tracer.0.finish().expect("trace finishes");
+    let mut writer = TraceWriter::with_segment_limit(Vec::new(), 512);
+    Vm::new(program).run(&mut writer).expect("workload runs");
+    let (bytes, stats) = writer.finish().expect("trace finishes");
     (bytes, stats.segments)
 }
 
@@ -354,9 +354,9 @@ fn join_thread_runs(trace: &[u8]) -> Vec<u8> {
 #[test]
 fn traces_with_segments_over_the_stream_limit_replay_offline_but_serve_rejects_them() {
     let w = workload("derby", WorkloadSize::Small);
-    let mut tracer = SinkTracer(TraceWriter::new(Vec::new()));
-    Vm::new(&w.program).run(&mut tracer).expect("workload runs");
-    let (bounded, _) = tracer.0.finish().expect("trace finishes");
+    let mut writer = TraceWriter::new(Vec::new());
+    Vm::new(&w.program).run(&mut writer).expect("workload runs");
+    let (bounded, _) = writer.finish().expect("trace finishes");
     let joined = join_thread_runs(&bounded);
     let reader = TraceReader::new(&joined).expect("joined trace parses");
     assert_eq!(reader.segments().len(), 1);

@@ -7,7 +7,7 @@
 use lowutil::core::{content_hash, replay_cost_graph, write_snapshot, Aggregate, CostGraphConfig};
 use lowutil::ir::Program;
 use lowutil::serve::{push_trace, request, ServeConfig, Server};
-use lowutil::vm::{RunConfig, SinkTracer, TraceReader, TraceWriter, Vm};
+use lowutil::vm::{RunConfig, TraceReader, TraceWriter, Vm};
 use lowutil::workloads::{workload, WorkloadSize, NAMES};
 use std::io::{Read, Write};
 use std::path::PathBuf;
@@ -20,7 +20,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 }
 
 fn record(program: &Program, sched_seed: u64) -> Vec<u8> {
-    let mut tracer = SinkTracer(TraceWriter::with_segment_limit(Vec::new(), 4096));
+    let mut writer = TraceWriter::with_segment_limit(Vec::new(), 4096);
     Vm::with_config(
         program,
         RunConfig {
@@ -28,9 +28,9 @@ fn record(program: &Program, sched_seed: u64) -> Vec<u8> {
             ..RunConfig::default()
         },
     )
-    .run(&mut tracer)
+    .run(&mut writer)
     .expect("workload runs");
-    tracer.0.finish().expect("trace finishes").0
+    writer.finish().expect("trace finishes").0
 }
 
 fn test_config(data: PathBuf) -> ServeConfig {

@@ -12,7 +12,7 @@
 
 use lowutil::ir::Program;
 use lowutil::serve::{push_trace, request, ServeConfig, Server};
-use lowutil::vm::{RunConfig, SinkTracer, TraceWriter, Vm};
+use lowutil::vm::{RunConfig, TraceWriter, Vm};
 use lowutil::workloads::{workload, WorkloadSize};
 use lowutil_testkit::alloc_guard::{self, GuardedAlloc};
 use std::path::PathBuf;
@@ -27,11 +27,11 @@ static ALLOC: GuardedAlloc = GuardedAlloc;
 const WARM_BUDGET_BYTES: usize = 32 << 10;
 
 fn record(program: &Program) -> Vec<u8> {
-    let mut tracer = SinkTracer(TraceWriter::with_segment_limit(Vec::new(), 256));
+    let mut writer = TraceWriter::with_segment_limit(Vec::new(), 256);
     Vm::with_config(program, RunConfig::default())
-        .run(&mut tracer)
+        .run(&mut writer)
         .expect("workload runs");
-    let (bytes, _) = tracer.0.finish().expect("trace finishes");
+    let (bytes, _) = writer.finish().expect("trace finishes");
     bytes
 }
 
