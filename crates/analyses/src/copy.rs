@@ -61,14 +61,6 @@ impl CopyDomain {
         Self::default()
     }
 
-    fn origin(&self, l: lowutil_ir::Local) -> CopySource {
-        *self.origins.lane().stack.get(l.index())
-    }
-
-    fn set_origin(&mut self, l: lowutil_ir::Local, o: CopySource) {
-        self.origins.lane_mut().stack.set(l.index(), o);
-    }
-
     fn tag(&self, obj: ObjectId) -> Option<AllocSiteId> {
         self.tags.get(&obj).copied()
     }
@@ -83,7 +75,7 @@ impl AbstractDomain for CopyDomain {
                 // A move has exactly one use and copies it; anything else
                 // computes (⊥).
                 let origin = match uses {
-                    [Some(src), None] => self.origin(*src),
+                    [Some(src), None] => self.origins.get(*src),
                     _ => CopySource::Bottom,
                 };
                 // Distinguish Move from Unop: both have one use. Unops
@@ -92,14 +84,14 @@ impl AbstractDomain for CopyDomain {
                 // single-use computes as copies, which matches the paper's
                 // goal of catching data funneled through wrappers. Constants
                 // ([None, None]) are ⊥ via the match above.
-                self.set_origin(*dst, origin);
+                self.origins.set(*dst, origin);
                 Some(origin)
             }
             Event::Alloc {
                 dst, object, site, ..
             } => {
                 self.tags.insert(*object, *site);
-                self.set_origin(*dst, CopySource::Bottom);
+                self.origins.set(*dst, CopySource::Bottom);
                 Some(CopySource::Bottom)
             }
             Event::LoadField {
@@ -112,7 +104,7 @@ impl AbstractDomain for CopyDomain {
                     },
                     None => CopySource::Bottom,
                 };
-                self.set_origin(*dst, o);
+                self.origins.set(*dst, o);
                 Some(o)
             }
             Event::ArrayLoad { dst, object, .. } => {
@@ -120,7 +112,7 @@ impl AbstractDomain for CopyDomain {
                     Some(site) => CopySource::Element { site },
                     None => CopySource::Bottom,
                 };
-                self.set_origin(*dst, o);
+                self.origins.set(*dst, o);
                 Some(o)
             }
             Event::StoreField { object, field, .. } => Some(match self.tag(*object) {
@@ -135,43 +127,47 @@ impl AbstractDomain for CopyDomain {
                 None => CopySource::Bottom,
             }),
             Event::LoadStatic { dst, .. } | Event::ArrayLen { dst, .. } => {
-                self.set_origin(*dst, CopySource::Bottom);
+                self.origins.set(*dst, CopySource::Bottom);
                 Some(CopySource::Bottom)
             }
             Event::StoreStatic { .. } => Some(CopySource::Bottom),
             Event::Native { dst, .. } => {
                 if let Some(d) = dst {
-                    self.set_origin(*d, CopySource::Bottom);
+                    self.origins.set(*d, CopySource::Bottom);
                 }
                 Some(CopySource::Bottom)
             }
             Event::Call { args, .. } => {
-                let origins: Vec<_> = args.iter().map(|a| self.origin(*a)).collect();
-                self.origins.lane_mut().pending_args = origins;
+                self.origins.call(args);
                 None
             }
             Event::Return { src, .. } => {
-                self.origins.lane_mut().ret_stash = src.map(|s| self.origin(s)).unwrap_or_default();
+                self.origins.ret(*src);
                 None
             }
             Event::CallComplete { dst, .. } => {
-                let o = std::mem::take(&mut self.origins.lane_mut().ret_stash);
+                let o = self.origins.call_complete();
                 if let Some(d) = dst {
-                    self.set_origin(*d, o);
+                    self.origins.set(*d, o);
                 }
                 None
             }
-            // A thread handle / join result is a fresh value, never a
-            // copy of an existing one — same treatment as natives.
-            Event::Spawn { dst, .. } => {
-                self.set_origin(*dst, CopySource::Bottom);
+            // A thread handle is a fresh value, never a copy; the actuals
+            // keep their origins in the child's formals. A join result is
+            // a copy of the joined thread's return value.
+            Event::Spawn {
+                dst, thread, args, ..
+            } => {
+                self.origins.spawn(*thread, args);
+                self.origins.set(*dst, CopySource::Bottom);
                 Some(CopySource::Bottom)
             }
-            Event::Join { dst, .. } => {
+            Event::Join { dst, thread, .. } => {
+                let o = self.origins.joined(*thread);
                 if let Some(d) = dst {
-                    self.set_origin(*d, CopySource::Bottom);
+                    self.origins.set(*d, o);
                 }
-                Some(CopySource::Bottom)
+                Some(o)
             }
             Event::Predicate { .. } | Event::Jump { .. } | Event::Phase { .. } => None,
         }

@@ -154,14 +154,6 @@ impl ConcreteProfiler {
         self.graph
     }
 
-    fn shadow(&self, l: Local) -> Option<InstanceId> {
-        *self.lanes.lane().stack.get(l.index())
-    }
-
-    fn set_shadow(&mut self, l: Local, n: Option<InstanceId>) {
-        self.lanes.lane_mut().stack.set(l.index(), n);
-    }
-
     fn new_instance(&mut self, at: InstrId) -> InstanceId {
         let occ = self.occurrences.entry(at).or_insert(0);
         *occ += 1;
@@ -176,7 +168,7 @@ impl ConcreteProfiler {
 
     fn base_dep(&mut self, node: InstanceId, base: Local) {
         if self.mode == SlicingMode::Traditional {
-            let s = self.shadow(base);
+            let s = self.lanes.get(base);
             self.dep(node, s);
         }
     }
@@ -188,15 +180,15 @@ impl EventSink for ConcreteProfiler {
             Event::Compute { at, dst, uses, .. } => {
                 let n = self.new_instance(*at);
                 for u in uses.iter().flatten() {
-                    let s = self.shadow(*u);
+                    let s = self.lanes.get(*u);
                     self.dep(n, s);
                 }
-                self.set_shadow(*dst, Some(n));
+                self.lanes.set(*dst, Some(n));
             }
             Event::Predicate { at, uses, .. } => {
                 let n = self.new_instance(*at);
                 for u in uses {
-                    let s = self.shadow(*u);
+                    let s = self.lanes.get(*u);
                     self.dep(n, s);
                 }
             }
@@ -209,10 +201,10 @@ impl EventSink for ConcreteProfiler {
             } => {
                 let n = self.new_instance(*at);
                 if let Some(l) = len_use {
-                    let s = self.shadow(*l);
+                    let s = self.lanes.get(*l);
                     self.dep(n, s);
                 }
-                self.set_shadow(*dst, Some(n));
+                self.lanes.set(*dst, Some(n));
                 self.shadow_heap.on_alloc(*object, 0, ());
             }
             Event::LoadField {
@@ -227,7 +219,7 @@ impl EventSink for ConcreteProfiler {
                 let s = self.shadow_heap.get(*object, *offset as usize);
                 self.dep(n, s);
                 self.base_dep(n, *base);
-                self.set_shadow(*dst, Some(n));
+                self.lanes.set(*dst, Some(n));
             }
             Event::StoreField {
                 at,
@@ -238,7 +230,7 @@ impl EventSink for ConcreteProfiler {
                 ..
             } => {
                 let n = self.new_instance(*at);
-                let s = self.shadow(*src);
+                let s = self.lanes.get(*src);
                 self.dep(n, s);
                 self.base_dep(n, *base);
                 self.shadow_heap.set(*object, *offset as usize, Some(n));
@@ -247,11 +239,11 @@ impl EventSink for ConcreteProfiler {
                 let n = self.new_instance(*at);
                 let s = self.shadow_statics.get(field.index()).copied().flatten();
                 self.dep(n, s);
-                self.set_shadow(*dst, Some(n));
+                self.lanes.set(*dst, Some(n));
             }
             Event::StoreStatic { at, field, src, .. } => {
                 let n = self.new_instance(*at);
-                let s = self.shadow(*src);
+                let s = self.lanes.get(*src);
                 self.dep(n, s);
                 if self.shadow_statics.len() <= field.index() {
                     self.shadow_statics.resize(field.index() + 1, None);
@@ -268,12 +260,12 @@ impl EventSink for ConcreteProfiler {
                 ..
             } => {
                 let n = self.new_instance(*at);
-                let si = self.shadow(*idx);
+                let si = self.lanes.get(*idx);
                 self.dep(n, si);
                 let s = self.shadow_heap.get(*object, *index as usize);
                 self.dep(n, s);
                 self.base_dep(n, *base);
-                self.set_shadow(*dst, Some(n));
+                self.lanes.set(*dst, Some(n));
             }
             Event::ArrayStore {
                 at,
@@ -285,9 +277,9 @@ impl EventSink for ConcreteProfiler {
                 ..
             } => {
                 let n = self.new_instance(*at);
-                let si = self.shadow(*idx);
+                let si = self.lanes.get(*idx);
                 self.dep(n, si);
-                let s = self.shadow(*src);
+                let s = self.lanes.get(*src);
                 self.dep(n, s);
                 self.base_dep(n, *base);
                 self.shadow_heap.set(*object, *index as usize, Some(n));
@@ -295,43 +287,46 @@ impl EventSink for ConcreteProfiler {
             Event::ArrayLen { at, dst, base, .. } => {
                 let n = self.new_instance(*at);
                 self.base_dep(n, *base);
-                self.set_shadow(*dst, Some(n));
+                self.lanes.set(*dst, Some(n));
             }
-            Event::Call { args, .. } => {
-                let shadows: Vec<_> = args.iter().map(|a| self.shadow(*a)).collect();
-                self.lanes.lane_mut().pending_args = shadows;
-            }
-            Event::Return { src, .. } => {
-                self.lanes.lane_mut().ret_stash = src.and_then(|s| self.shadow(s));
-            }
+            Event::Call { args, .. } => self.lanes.call(args),
+            Event::Return { src, .. } => self.lanes.ret(*src),
             Event::CallComplete { dst, .. } => {
-                let stash = self.lanes.lane_mut().ret_stash.take();
+                let stash = self.lanes.call_complete();
                 if let Some(d) = dst {
-                    self.set_shadow(*d, stash);
+                    self.lanes.set(*d, stash);
                 }
             }
             Event::Native { at, args, dst, .. } => {
                 let n = self.new_instance(*at);
                 for a in args {
-                    let s = self.shadow(*a);
+                    let s = self.lanes.get(*a);
                     self.dep(n, s);
                 }
                 if let Some(d) = dst {
-                    self.set_shadow(*d, Some(n));
+                    self.lanes.set(*d, Some(n));
                 }
             }
-            // The concrete baseline is a single-thread reference graph
-            // (the paper's Definition 1 comparison); thread events are
-            // opaque producers here — the thread-aware construction
-            // lives in `G_cost`.
-            Event::Spawn { at, dst, .. } => {
+            // The handle is a fresh value; the actuals flow to the child
+            // thread's formals, and its return value into the join.
+            Event::Spawn {
+                at,
+                dst,
+                thread,
+                args,
+                ..
+            } => {
                 let n = self.new_instance(*at);
-                self.set_shadow(*dst, Some(n));
+                self.lanes.spawn(*thread, args);
+                self.lanes.set(*dst, Some(n));
             }
-            Event::Join { at, dst, .. } => {
+            Event::Join {
+                at, dst, thread, ..
+            } => {
                 let n = self.new_instance(*at);
+                self.dep(n, self.lanes.joined(*thread));
                 if let Some(d) = dst {
-                    self.set_shadow(*d, Some(n));
+                    self.lanes.set(*d, Some(n));
                 }
             }
             Event::Jump { .. } | Event::Phase { .. } => {}

@@ -89,24 +89,15 @@ impl<D: AbstractDomain> AbstractProfiler<D> {
     /// trap-time clients (null-origin tracking reads the shadow of the
     /// faulting base pointer). Returns `None` if no frame is live.
     pub fn local_shadow(&self, l: Local) -> Option<NodeId> {
-        let stack = &self.lanes.lane().stack;
-        if stack.depth() == 0 {
+        if self.lanes.depth() == 0 {
             return None;
         }
-        *stack.get(l.index())
+        self.lanes.get(l)
     }
 
     /// Consumes the profiler, returning the abstract graph and the domain.
     pub fn finish(self) -> (DepGraph<D::Elem>, D) {
         (self.graph, self.domain)
-    }
-
-    fn shadow(&self, l: Local) -> Option<NodeId> {
-        *self.lanes.lane().stack.get(l.index())
-    }
-
-    fn set_shadow(&mut self, l: Local, n: Option<NodeId>) {
-        self.lanes.lane_mut().stack.set(l.index(), n);
     }
 
     fn kind_of(event: &Event) -> NodeKind {
@@ -128,14 +119,16 @@ impl<D: AbstractDomain> AbstractProfiler<D> {
     /// Thin uses of an event, as shadow sources.
     fn use_nodes(&self, event: &Event) -> Vec<Option<NodeId>> {
         match event {
-            Event::Compute { uses, .. } => uses.iter().flatten().map(|&u| self.shadow(u)).collect(),
-            Event::Predicate { uses, .. } => uses.iter().map(|&u| self.shadow(u)).collect(),
-            Event::Alloc { len_use, .. } => len_use.iter().map(|&u| self.shadow(u)).collect(),
+            Event::Compute { uses, .. } => {
+                uses.iter().flatten().map(|&u| self.lanes.get(u)).collect()
+            }
+            Event::Predicate { uses, .. } => uses.iter().map(|&u| self.lanes.get(u)).collect(),
+            Event::Alloc { len_use, .. } => len_use.iter().map(|&u| self.lanes.get(u)).collect(),
             Event::LoadField { object, offset, .. } => {
                 vec![self.shadow_heap.get(*object, *offset as usize)]
             }
             Event::StoreField { src, .. } | Event::StoreStatic { src, .. } => {
-                vec![self.shadow(*src)]
+                vec![self.lanes.get(*src)]
             }
             Event::LoadStatic { field, .. } => {
                 vec![self.shadow_statics.get(field.index()).copied().flatten()]
@@ -143,19 +136,19 @@ impl<D: AbstractDomain> AbstractProfiler<D> {
             Event::ArrayLoad {
                 object, idx, index, ..
             } => vec![
-                self.shadow(*idx),
+                self.lanes.get(*idx),
                 self.shadow_heap.get(*object, *index as usize),
             ],
             Event::ArrayStore { idx, src, .. } => {
-                vec![self.shadow(*idx), self.shadow(*src)]
+                vec![self.lanes.get(*idx), self.lanes.get(*src)]
             }
             Event::ArrayLen { .. } => vec![],
-            Event::Native { args, .. } => args.iter().map(|&a| self.shadow(a)).collect(),
-            // Thread handles and join results are fresh producers for
-            // generic domains; cross-thread value flow is modeled only by
-            // the hand-specialized `G_cost` builder.
+            Event::Native { args, .. } => args.iter().map(|&a| self.lanes.get(a)).collect(),
+            // A join result depends on the joined thread's return value;
+            // a thread handle is a fresh producer (the spawn's actuals flow
+            // to the child's formals, not into the handle).
+            Event::Join { thread, .. } => vec![self.lanes.joined(*thread)],
             Event::Spawn { .. }
-            | Event::Join { .. }
             | Event::Call { .. }
             | Event::Return { .. }
             | Event::CallComplete { .. }
@@ -172,7 +165,7 @@ impl<D: AbstractDomain> AbstractProfiler<D> {
             | Event::LoadField { dst, .. }
             | Event::LoadStatic { dst, .. }
             | Event::ArrayLoad { dst, .. }
-            | Event::ArrayLen { dst, .. } => self.set_shadow(*dst, node),
+            | Event::ArrayLen { dst, .. } => self.lanes.set(*dst, node),
             Event::StoreField { object, offset, .. } => {
                 self.shadow_heap.set(*object, *offset as usize, node)
             }
@@ -185,9 +178,9 @@ impl<D: AbstractDomain> AbstractProfiler<D> {
                 }
                 self.shadow_statics[field.index()] = node;
             }
-            Event::Native { dst: Some(d), .. } => self.set_shadow(*d, node),
-            Event::Spawn { dst, .. } => self.set_shadow(*dst, node),
-            Event::Join { dst: Some(d), .. } => self.set_shadow(*d, node),
+            Event::Native { dst: Some(d), .. } => self.lanes.set(*d, node),
+            Event::Spawn { dst, .. } => self.lanes.set(*dst, node),
+            Event::Join { dst: Some(d), .. } => self.lanes.set(*d, node),
             _ => {}
         }
     }
@@ -198,20 +191,19 @@ impl<D: AbstractDomain> EventSink for AbstractProfiler<D> {
         // Call/return plumbing is domain-independent.
         match event {
             Event::Call { args, .. } => {
-                let shadows: Vec<_> = args.iter().map(|a| self.shadow(*a)).collect();
-                self.lanes.lane_mut().pending_args = shadows;
+                self.lanes.call(args);
                 self.domain.classify(event);
                 return;
             }
             Event::Return { src, .. } => {
-                self.lanes.lane_mut().ret_stash = src.and_then(|s| self.shadow(s));
+                self.lanes.ret(*src);
                 self.domain.classify(event);
                 return;
             }
             Event::CallComplete { dst, .. } => {
-                let stash = self.lanes.lane_mut().ret_stash.take();
+                let stash = self.lanes.call_complete();
                 if let Some(d) = dst {
-                    self.set_shadow(*d, stash);
+                    self.lanes.set(*d, stash);
                 }
                 self.domain.classify(event);
                 return;
@@ -219,6 +211,7 @@ impl<D: AbstractDomain> EventSink for AbstractProfiler<D> {
             Event::Jump { .. } | Event::Phase { .. } => {
                 return;
             }
+            Event::Spawn { thread, args, .. } => self.lanes.spawn(*thread, args),
             _ => {}
         }
 

@@ -29,8 +29,8 @@ use crate::context::{slot_of, thread_base, ConflictStats, ContextStack};
 use crate::dense::{DenseDomain, DenseInterner, InstrIndexer};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::graph::{DepGraph, NodeId, NodeKind};
-use lowutil_ir::{AllocSiteId, FieldId, InstrId, Local, StaticId, ThreadId, Value};
-use lowutil_vm::{Event, EventSink, FrameInfo, ShadowHeap, ShadowStack};
+use lowutil_ir::{AllocSiteId, FieldId, InstrId, StaticId, ThreadId, Value};
+use lowutil_vm::{Event, EventSink, FrameInfo, ShadowHeap, ShadowLanes};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -190,26 +190,17 @@ impl Default for CostGraphConfig {
 pub struct GraphBuilder {
     config: CostGraphConfig,
     graph: DepGraph<CostElem>,
-    /// The running thread's state: the thread the stream is currently
-    /// delivering events for. The heap, statics, and graph are shared
-    /// (the guest heap is shared); stacks, contexts, and call plumbing
-    /// are thread-local.
-    run: ThreadState,
-    /// The running frame's encoded context chain, `run.contexts.current()`
-    /// kept in a field: every value-producing event reads it.
+    /// Shadow locals and call plumbing per guest thread, following the
+    /// stream's thread switches. The heap, statics, and graph are shared
+    /// (the guest heap is shared).
+    lanes: ShadowLanes<Option<NodeId>>,
+    /// Receiver-chain context stacks by thread id, each based at
+    /// [`thread_base`](crate::context::thread_base) so contexts from
+    /// different threads never merge.
+    contexts: Vec<ContextStack>,
+    /// The running frame's encoded context chain kept in a field: every
+    /// value-producing event reads it.
     g: u64,
-    /// Parked threads' state, indexed by `ThreadId`; the running thread's
-    /// slot holds an empty placeholder while its state is in `run`.
-    threads: Vec<ThreadState>,
-    /// The running thread's index.
-    cur: usize,
-    /// Actual-argument shadows stashed by a `Spawn`, consumed when the
-    /// child thread's root frame is pushed (the cross-thread METHOD
-    /// ENTRY hand-off).
-    spawn_args: FxHashMap<u32, Vec<Option<NodeId>>>,
-    /// The node that produced each finished thread's return value,
-    /// recorded at the thread's root frame pop and consumed by `Join`.
-    thread_rets: FxHashMap<u32, Option<NodeId>>,
     shadow_heap: ShadowHeap<Option<NodeId>, Option<TaggedSite>>,
     shadow_statics: Vec<Option<NodeId>>,
     conflicts: ConflictStats,
@@ -253,30 +244,6 @@ impl CacheEntry {
         node: IC_EMPTY,
         edges: [(IC_EMPTY, IC_EMPTY); 2],
     };
-}
-
-/// The thread-local slice of the builder's state: the shadow stack, the
-/// receiver-chain context stack (based at
-/// [`thread_base`](crate::context::thread_base) so contexts from
-/// different threads never merge), and the call/return tracking plumbing
-/// — all of which follow one thread's control flow.
-#[derive(Debug, Default)]
-struct ThreadState {
-    shadow_stack: ShadowStack<Option<NodeId>>,
-    contexts: ContextStack,
-    pending_args: Vec<Option<NodeId>>,
-    ret_stash: Option<NodeId>,
-}
-
-impl ThreadState {
-    fn new(tid: ThreadId) -> Self {
-        ThreadState {
-            shadow_stack: ShadowStack::new(),
-            contexts: ContextStack::with_base(thread_base(tid)),
-            pending_args: Vec::new(),
-            ret_stash: None,
-        }
-    }
 }
 
 /// Empty inline-cache entry. `g = 0` is the valid empty context, so the
@@ -326,16 +293,13 @@ impl GraphBuilder {
         } else {
             Vec::new()
         };
-        let run = ThreadState::new(ThreadId::MAIN);
+        let main = ContextStack::with_base(thread_base(ThreadId::MAIN));
         GraphBuilder {
             config,
             graph: DepGraph::new(),
-            g: run.contexts.current(),
-            run,
-            threads: vec![ThreadState::default()],
-            cur: 0,
-            spawn_args: FxHashMap::default(),
-            thread_rets: FxHashMap::default(),
+            lanes: ShadowLanes::new(),
+            g: main.current(),
+            contexts: vec![main],
             shadow_heap: ShadowHeap::new(None),
             shadow_statics: Vec::new(),
             conflicts: ConflictStats::new(),
@@ -350,16 +314,6 @@ impl GraphBuilder {
             dense,
             icache,
         }
-    }
-
-    #[inline]
-    fn shadow(&self, l: Local) -> Option<NodeId> {
-        *self.run.shadow_stack.get(l.index())
-    }
-
-    #[inline]
-    fn set_shadow(&mut self, l: Local, n: Option<NodeId>) {
-        self.run.shadow_stack.set(l.index(), n);
     }
 
     /// The inline-cache index of `at`, computed once per event (0 when
@@ -529,8 +483,8 @@ impl EventSink for GraphBuilder {
             // Keep call/return plumbing from leaking stale data across an
             // armed/disarmed boundary.
             match event {
-                Event::Call { .. } => self.run.pending_args.clear(),
-                Event::Return { .. } => self.run.ret_stash = None,
+                Event::Call { .. } => self.lanes.call(&[]),
+                Event::Return { .. } => self.lanes.ret(None),
                 _ => {}
             }
             return;
@@ -551,16 +505,16 @@ impl EventSink for GraphBuilder {
                 let n = self.ctx_node(idx, *at, NodeKind::Plain);
                 for (k, u) in uses.iter().enumerate() {
                     if let Some(u) = u {
-                        self.operand_edge(idx, k, self.shadow(*u), n);
+                        self.operand_edge(idx, k, self.lanes.get(*u), n);
                     }
                 }
-                self.set_shadow(*dst, Some(n));
+                self.lanes.set(*dst, Some(n));
             }
             Event::Predicate { at, uses, .. } => {
                 let idx = self.cache_index(*at);
                 let n = self.consumer_node(idx, *at, NodeKind::Predicate);
                 for (k, u) in uses.iter().enumerate() {
-                    self.operand_edge(idx, k, self.shadow(*u), n);
+                    self.operand_edge(idx, k, self.lanes.get(*u), n);
                 }
             }
             Event::Alloc {
@@ -572,9 +526,9 @@ impl EventSink for GraphBuilder {
             } => {
                 let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::Alloc);
                 if let Some(l) = len_use {
-                    self.edge_from_shadow(self.shadow(*l), n);
+                    self.edge_from_shadow(self.lanes.get(*l), n);
                 }
-                self.set_shadow(*dst, Some(n));
+                self.lanes.set(*dst, Some(n));
                 let slot = slot_of(self.g, self.config.slots);
                 let tag = TaggedSite { site: *site, slot };
                 self.shadow_heap.on_alloc(*object, 0, Some(tag));
@@ -594,9 +548,9 @@ impl EventSink for GraphBuilder {
                 let src = self.shadow_heap.get(*object, *offset as usize);
                 self.edge_from_shadow(src, n);
                 if self.config.traditional_uses {
-                    self.edge_from_shadow(self.shadow(*base), n);
+                    self.edge_from_shadow(self.lanes.get(*base), n);
                 }
-                self.set_shadow(*dst, Some(n));
+                self.lanes.set(*dst, Some(n));
                 if let Some(tag) = self.shadow_heap.tag(*object) {
                     self.set_effect(
                         n,
@@ -618,9 +572,9 @@ impl EventSink for GraphBuilder {
                 ..
             } => {
                 let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::HeapStore);
-                self.edge_from_shadow(self.shadow(*src), n);
+                self.edge_from_shadow(self.lanes.get(*src), n);
                 if self.config.traditional_uses {
-                    self.edge_from_shadow(self.shadow(*base), n);
+                    self.edge_from_shadow(self.lanes.get(*base), n);
                 }
                 self.shadow_heap.set(*object, *offset as usize, Some(n));
                 self.store_common(n, *object, FieldKey::Field(*field), *value);
@@ -629,12 +583,12 @@ impl EventSink for GraphBuilder {
                 let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::HeapLoad);
                 let src = self.shadow_statics.get(field.index()).copied().flatten();
                 self.edge_from_shadow(src, n);
-                self.set_shadow(*dst, Some(n));
+                self.lanes.set(*dst, Some(n));
                 self.set_effect(n, HeapEffect::LoadStatic(*field));
             }
             Event::StoreStatic { at, field, src, .. } => {
                 let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::HeapStore);
-                self.edge_from_shadow(self.shadow(*src), n);
+                self.edge_from_shadow(self.lanes.get(*src), n);
                 if self.shadow_statics.len() <= field.index() {
                     self.shadow_statics.resize(field.index() + 1, None);
                 }
@@ -651,13 +605,13 @@ impl EventSink for GraphBuilder {
                 ..
             } => {
                 let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::HeapLoad);
-                self.edge_from_shadow(self.shadow(*idx), n);
+                self.edge_from_shadow(self.lanes.get(*idx), n);
                 if self.config.traditional_uses {
-                    self.edge_from_shadow(self.shadow(*base), n);
+                    self.edge_from_shadow(self.lanes.get(*base), n);
                 }
                 let src = self.shadow_heap.get(*object, *index as usize);
                 self.edge_from_shadow(src, n);
-                self.set_shadow(*dst, Some(n));
+                self.lanes.set(*dst, Some(n));
                 if let Some(tag) = self.shadow_heap.tag(*object) {
                     self.set_effect(
                         n,
@@ -679,11 +633,11 @@ impl EventSink for GraphBuilder {
                 ..
             } => {
                 let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::HeapStore);
-                self.edge_from_shadow(self.shadow(*idx), n);
+                self.edge_from_shadow(self.lanes.get(*idx), n);
                 if self.config.traditional_uses {
-                    self.edge_from_shadow(self.shadow(*base), n);
+                    self.edge_from_shadow(self.lanes.get(*base), n);
                 }
-                self.edge_from_shadow(self.shadow(*src), n);
+                self.edge_from_shadow(self.lanes.get(*src), n);
                 self.shadow_heap.set(*object, *index as usize, Some(n));
                 self.store_common(n, *object, FieldKey::Element, *value);
             }
@@ -696,7 +650,7 @@ impl EventSink for GraphBuilder {
             } => {
                 let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::HeapLoad);
                 if self.config.traditional_uses {
-                    self.edge_from_shadow(self.shadow(*base), n);
+                    self.edge_from_shadow(self.lanes.get(*base), n);
                 }
                 // The length was produced by the allocation.
                 if let Some(tag) = self.shadow_heap.tag(*object) {
@@ -711,21 +665,14 @@ impl EventSink for GraphBuilder {
                         },
                     );
                 }
-                self.set_shadow(*dst, Some(n));
+                self.lanes.set(*dst, Some(n));
             }
-            Event::Call { args, .. } => {
-                let run = &mut self.run;
-                run.pending_args.clear();
-                run.pending_args
-                    .extend(args.iter().map(|a| *run.shadow_stack.get(a.index())));
-            }
-            Event::Return { src, .. } => {
-                self.run.ret_stash = src.and_then(|s| self.shadow(s));
-            }
+            Event::Call { args, .. } => self.lanes.call(args),
+            Event::Return { src, .. } => self.lanes.ret(*src),
             Event::CallComplete { dst, .. } => {
-                let stash = self.run.ret_stash.take();
+                let stash = self.lanes.call_complete();
                 if let Some(d) = dst {
-                    self.set_shadow(*d, stash);
+                    self.lanes.set(*d, stash);
                 }
             }
             Event::Spawn {
@@ -739,9 +686,8 @@ impl EventSink for GraphBuilder {
                 // flow to the child thread's formals (rule METHOD ENTRY,
                 // across threads), not into the handle.
                 let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::Plain);
-                let syms: Vec<Option<NodeId>> = args.iter().map(|a| self.shadow(*a)).collect();
-                self.spawn_args.insert(thread.0, syms);
-                self.set_shadow(*dst, Some(n));
+                self.lanes.spawn(*thread, args);
+                self.lanes.set(*dst, Some(n));
             }
             Event::Join {
                 at, dst, thread, ..
@@ -750,20 +696,19 @@ impl EventSink for GraphBuilder {
                 // child thread's return value (recorded at its root
                 // frame pop — join blocks until then).
                 let n = self.ctx_node(self.cache_index(*at), *at, NodeKind::Plain);
-                let ret = self.thread_rets.get(&thread.0).copied().flatten();
-                self.edge_from_shadow(ret, n);
+                self.edge_from_shadow(self.lanes.joined(*thread), n);
                 if let Some(d) = dst {
-                    self.set_shadow(*d, Some(n));
+                    self.lanes.set(*d, Some(n));
                 }
             }
             Event::Native { at, args, dst, .. } => {
                 let idx = self.cache_index(*at);
                 let n = self.consumer_node(idx, *at, NodeKind::Native);
                 for a in args {
-                    self.edge_from_shadow(self.shadow(*a), n);
+                    self.edge_from_shadow(self.lanes.get(*a), n);
                 }
                 if let Some(d) = dst {
-                    self.set_shadow(*d, Some(n));
+                    self.lanes.set(*d, Some(n));
                 }
             }
             Event::Jump { .. } => {}
@@ -771,62 +716,38 @@ impl EventSink for GraphBuilder {
         }
     }
 
-    /// Consumes a frame push (rule METHOD ENTRY).
+    /// Consumes a frame push (rule METHOD ENTRY): formals receive the
+    /// stashed actuals, a spawned thread's root frame its `Spawn`'s.
     fn frame_push(&mut self, info: &FrameInfo) {
         let receiver_site = info
             .receiver
             .and_then(|o| self.shadow_heap.tag(o))
             .map(|t| t.site);
-        let run = &mut self.run;
-        run.contexts.push(receiver_site);
-        self.g = run.contexts.current();
-        run.shadow_stack.push(info.num_locals as usize);
-        // Formals receive the tracking data of the actuals (rule METHOD
-        // ENTRY); main's entry frame has no actuals, and a spawned
-        // thread's root frame receives the `Spawn`'s stashed actuals.
-        for i in 0..info.num_args as usize {
-            let data = run.pending_args.get(i).copied().flatten();
-            run.shadow_stack.set(i, data);
-        }
-        run.pending_args.clear();
+        let contexts = &mut self.contexts[self.lanes.current().index()];
+        contexts.push(receiver_site);
+        self.g = contexts.current();
+        self.lanes.push_frame(info);
     }
 
-    /// Consumes a frame pop. Popping a thread's root frame records the
-    /// return-value node for a later `Join`.
+    /// Consumes a frame pop. A thread's root frame pop leaves its
+    /// return-value node on its lane for a later `Join`.
     fn frame_pop(&mut self) {
-        let run = &mut self.run;
-        run.shadow_stack.pop();
-        run.contexts.pop();
-        self.g = run.contexts.current();
-        if run.shadow_stack.depth() == 0 {
-            let ret = run.ret_stash.take();
-            self.thread_rets.insert(self.cur as u32, ret);
-        }
+        self.lanes.pop_frame();
+        let contexts = &mut self.contexts[self.lanes.current().index()];
+        contexts.pop();
+        self.g = contexts.current();
     }
 
-    /// Switches the builder to `tid`'s thread-local state, creating it
-    /// on first sight: the running thread's state is parked in its
-    /// `threads` slot and `tid`'s is moved into `run`. A new thread's
-    /// pending arguments are whatever the spawning thread stashed for
-    /// it. Idempotent for the current thread, so callers may invoke it
-    /// per segment unconditionally.
+    /// Switches the builder to `tid`'s lane and context stack, creating
+    /// them on first sight. Idempotent for the current thread, so callers
+    /// may invoke it per segment unconditionally.
     fn thread(&mut self, tid: ThreadId) {
-        let idx = tid.index();
-        if idx == self.cur {
-            return;
+        self.lanes.switch(tid);
+        while self.contexts.len() <= tid.index() {
+            let base = thread_base(ThreadId(self.contexts.len() as u32));
+            self.contexts.push(ContextStack::with_base(base));
         }
-        while self.threads.len() <= idx {
-            let t = ThreadId(self.threads.len() as u32);
-            let mut state = ThreadState::new(t);
-            if let Some(args) = self.spawn_args.remove(&t.0) {
-                state.pending_args = args;
-            }
-            self.threads.push(state);
-        }
-        std::mem::swap(&mut self.run, &mut self.threads[self.cur]);
-        self.cur = idx;
-        std::mem::swap(&mut self.run, &mut self.threads[idx]);
-        self.g = self.run.contexts.current();
+        self.g = self.contexts[tid.index()].current();
     }
 }
 

@@ -54,7 +54,7 @@ pub use event::{Event, FrameInfo};
 pub use heap::{Heap, HeapObject};
 pub use interp::{RunConfig, RunOutcome, Trap, TrapKind, Vm};
 pub use natives::{NativeKind, NativeRegistry, UnknownNativeError};
-pub use shadow::{ShadowHeap, ShadowLane, ShadowLanes, ShadowStack};
+pub use shadow::{ShadowHeap, ShadowLanes, ShadowStack};
 pub use sink::{CountingSink, EventSink, NullTracer, SinkTracer};
 pub use trace::{
     SalvageStats, StreamingReader, TraceError, TraceReader, TraceStats, TraceWriter, Trailer,

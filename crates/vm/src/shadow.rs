@@ -15,14 +15,18 @@
 //! Guest threads share the heap but not their call stacks, so
 //! [`ShadowLanes`] keeps one shadow stack (and the tracking data in
 //! flight across a call) per thread and follows the stream's
-//! [`EventSink::thread`](crate::EventSink::thread) switches.
+//! [`EventSink::thread`](crate::EventSink::thread) switches. It owns the
+//! call protocol (rules METHOD ENTRY and RETURN) within a thread and
+//! across threads: a `Spawn` stashes its actuals' shadows for the child's
+//! root frame, and a thread's root-frame pop leaves its return shadow for
+//! the `Join` that reads it ([`ShadowLanes::joined`]).
 //!
 //! These structures are generic over the payload `T` (dependence-graph node
 //! references for the cost analyses; origin records for copy profiling) so
 //! every client analysis reuses the same machinery.
 
 use crate::event::FrameInfo;
-use lowutil_ir::{ObjectId, ThreadId};
+use lowutil_ir::{Local, ObjectId, ThreadId};
 
 /// Shadow locals for one guest thread's call stack: one flat slot array,
 /// each frame a window of it, aligned with the VM's frames.
@@ -90,27 +94,33 @@ impl<T: Clone + Default> ShadowStack<T> {
 /// One guest thread's shadow call state: its [`ShadowStack`] plus the
 /// tracking data in flight across a call.
 #[derive(Debug, Clone, Default)]
-pub struct ShadowLane<T> {
-    /// Shadow locals aligned with the thread's call stack.
-    pub stack: ShadowStack<T>,
-    /// Tracking data of the actuals of the call being made.
-    pub pending_args: Vec<T>,
-    /// Tracking data of the value being returned.
-    pub ret_stash: T,
+struct ShadowLane<T> {
+    stack: ShadowStack<T>,
+    /// The actuals of the call being made (of the `Spawn`, on a thread
+    /// not yet started).
+    args: Vec<T>,
+    /// The value being returned; the thread's result once its root frame
+    /// has popped.
+    ret: T,
 }
 
-/// The shadow call state of every guest thread, one [`ShadowLane`] each,
-/// with the running thread's lane selected by [`ShadowLanes::switch`].
+/// The shadow call state of every guest thread. The running lane lives
+/// in a field and parked lanes in a table by thread id, so a shadow read
+/// is one field access plus one index; [`switch`](Self::switch) swaps
+/// them, as the interpreter swaps its frames.
 #[derive(Debug, Clone)]
 pub struct ShadowLanes<T> {
-    lanes: Vec<ShadowLane<T>>,
+    run: ShadowLane<T>,
+    /// By thread id; the running thread's entry is an empty placeholder.
+    parked: Vec<ShadowLane<T>>,
     cur: usize,
 }
 
 impl<T: Clone + Default> Default for ShadowLanes<T> {
     fn default() -> Self {
         ShadowLanes {
-            lanes: vec![ShadowLane::default()],
+            run: ShadowLane::default(),
+            parked: vec![ShadowLane::default()],
             cur: 0,
         }
     }
@@ -122,42 +132,106 @@ impl<T: Clone + Default> ShadowLanes<T> {
         Self::default()
     }
 
-    /// The running thread's lane.
+    /// The running thread.
     #[inline]
-    pub fn lane(&self) -> &ShadowLane<T> {
-        &self.lanes[self.cur]
+    pub fn current(&self) -> ThreadId {
+        ThreadId(self.cur as u32)
     }
 
-    /// The running thread's lane, mutably.
+    /// The running thread's call depth.
     #[inline]
-    pub fn lane_mut(&mut self) -> &mut ShadowLane<T> {
-        &mut self.lanes[self.cur]
+    pub fn depth(&self) -> usize {
+        self.run.stack.depth()
     }
 
-    /// Makes `tid` the running thread, creating its lane on first sight.
-    pub fn switch(&mut self, tid: ThreadId) {
-        self.cur = tid.index();
-        if self.lanes.len() <= self.cur {
-            self.lanes.resize_with(self.cur + 1, ShadowLane::default);
-        }
+    /// Reads local `l`'s shadow in the running thread's top frame
+    /// (panics as [`ShadowStack::get`]).
+    #[inline]
+    pub fn get(&self, l: Local) -> T {
+        self.run.stack.get(l.index()).clone()
+    }
+
+    /// Writes local `l`'s shadow in the running thread's top frame.
+    #[inline]
+    pub fn set(&mut self, l: Local, value: T) {
+        self.run.stack.set(l.index(), value);
+    }
+
+    /// A call: stashes the actuals' shadows for the callee's formals.
+    #[inline]
+    pub fn call(&mut self, args: &[Local]) {
+        let lane = &mut self.run;
+        lane.args.clear();
+        lane.args
+            .extend(args.iter().map(|a| lane.stack.get(a.index()).clone()));
+    }
+
+    /// A return: stashes the returned local's shadow (the default for a
+    /// void return).
+    #[inline]
+    pub fn ret(&mut self, src: Option<Local>) {
+        self.run.ret = src.map(|s| self.get(s)).unwrap_or_default();
+    }
+
+    /// The caller resumes: takes the stashed return shadow.
+    #[inline]
+    pub fn call_complete(&mut self) -> T {
+        std::mem::take(&mut self.run.ret)
+    }
+
+    /// A spawn of `tid`: stashes the actuals' shadows for the child's
+    /// root frame, pushed when it first runs.
+    pub fn spawn(&mut self, tid: ThreadId, args: &[Local]) {
+        let data = args.iter().map(|a| self.get(*a)).collect();
+        self.ensure(tid.index());
+        self.parked[tid.index()].args = data;
+    }
+
+    /// The shadow of a finished thread's return value (the default for a
+    /// thread that returned none or never ran).
+    pub fn joined(&self, tid: ThreadId) -> T {
+        self.parked
+            .get(tid.index())
+            .map_or_else(T::default, |lane| lane.ret.clone())
     }
 
     /// Pushes a frame on the running thread; its formals receive the
-    /// pending actuals (rule METHOD ENTRY). A spawned thread's root frame
-    /// finds none, so its formals start at `T::default()`.
+    /// stashed actuals (rule METHOD ENTRY).
+    #[inline]
     pub fn push_frame(&mut self, info: &FrameInfo) {
-        let lane = self.lane_mut();
+        let lane = &mut self.run;
         lane.stack.push(info.num_locals as usize);
         for i in 0..info.num_args as usize {
-            let data = lane.pending_args.get(i).cloned().unwrap_or_default();
+            let data = lane.args.get(i).cloned().unwrap_or_default();
             lane.stack.set(i, data);
         }
-        lane.pending_args.clear();
+        lane.args.clear();
     }
 
     /// Pops the running thread's top frame.
+    #[inline]
     pub fn pop_frame(&mut self) {
-        self.lane_mut().stack.pop();
+        self.run.stack.pop();
+    }
+
+    /// Makes `tid` the running thread, creating its lane on first sight;
+    /// a no-op for the running thread.
+    #[inline]
+    pub fn switch(&mut self, tid: ThreadId) {
+        let idx = tid.index();
+        if idx == self.cur {
+            return;
+        }
+        self.ensure(idx);
+        std::mem::swap(&mut self.run, &mut self.parked[self.cur]);
+        std::mem::swap(&mut self.run, &mut self.parked[idx]);
+        self.cur = idx;
+    }
+
+    fn ensure(&mut self, idx: usize) {
+        if self.parked.len() <= idx {
+            self.parked.resize_with(idx + 1, ShadowLane::default);
+        }
     }
 }
 
@@ -282,8 +356,9 @@ mod tests {
         s.pop();
     }
 
-    /// Each guest thread has its own frames; pending actuals reach the
-    /// callee's formals on the thread that made the call.
+    /// Each guest thread has its own frames; a call's actuals reach the
+    /// callee's formals on the thread that made the call, a spawn's reach
+    /// the child's root frame, and the child's return reaches the join.
     #[test]
     fn shadow_lanes_keep_one_stack_per_thread() {
         let frame = |num_locals, num_args| FrameInfo {
@@ -294,24 +369,48 @@ mod tests {
             receiver: None,
             num_args,
         };
+        let (child, l0, l1) = (ThreadId(1), Local(0), Local(1));
         let mut lanes: ShadowLanes<u32> = ShadowLanes::new();
         lanes.push_frame(&frame(2, 0));
-        lanes.lane_mut().stack.set(1, 7);
-        lanes.lane_mut().pending_args = vec![9];
-        lanes.switch(ThreadId(2));
-        lanes.push_frame(&frame(1, 1));
+        lanes.set(l0, 5);
+        lanes.set(l1, 7);
+        lanes.spawn(child, &[l1, l0]);
+        lanes.call(&[l0]);
+        lanes.switch(child);
+        assert_eq!(lanes.current(), child);
+        lanes.push_frame(&frame(3, 2));
         assert_eq!(
-            *lanes.lane().stack.get(0),
-            0,
-            "a new thread's root gets no actuals"
+            (lanes.get(l0), lanes.get(l1), lanes.get(Local(2))),
+            (7, 5, 0),
+            "the spawn's actuals arrive in the child's formals"
         );
+        lanes.set(Local(2), 11);
+        lanes.ret(Some(Local(2)));
+        lanes.pop_frame();
+        assert_eq!(lanes.depth(), 0);
         lanes.switch(ThreadId::MAIN);
         lanes.push_frame(&frame(1, 1));
-        assert_eq!(*lanes.lane().stack.get(0), 9, "the caller's actual arrives");
+        assert_eq!(lanes.get(l0), 5, "the caller's actual arrives");
+        lanes.ret(None);
         lanes.pop_frame();
-        assert_eq!(*lanes.lane().stack.get(1), 7, "main's frame is intact");
-        lanes.switch(ThreadId(2));
-        assert_eq!(lanes.lane().stack.depth(), 1);
+        assert_eq!(
+            lanes.call_complete(),
+            0,
+            "a void return stashes the default"
+        );
+        assert_eq!(lanes.get(l1), 7, "main's frame is intact");
+        assert_eq!(
+            lanes.joined(child),
+            11,
+            "the child's return reaches the join"
+        );
+        assert_eq!(
+            lanes.joined(ThreadId(9)),
+            0,
+            "an unknown thread returned nothing"
+        );
+        lanes.switch(child);
+        assert_eq!(lanes.depth(), 0);
     }
 
     #[test]

@@ -1627,10 +1627,11 @@ impl PrefixCounts {
         self.thread = t;
     }
 
-    /// The VM numbers objects densely: the k-th `Alloc` carries object k.
-    /// It pops only open frames, and every record naming a local (all
-    /// but `Jump` and `Phase`) runs inside a frame: a consumer indexes
-    /// the top frame's slots with it.
+    /// The VM numbers objects and threads densely: `Alloc` k (from 0)
+    /// carries object k, `Spawn` k (from 1) creates thread k, and a
+    /// `Join` names a spawned thread. It pops only open frames, and every
+    /// record naming a local (all but `Jump` and `Phase`) runs inside a
+    /// frame: a consumer indexes the top frame's slots with it.
     #[inline]
     fn refuse(&self, rec: Decoded) -> Option<String> {
         match rec {
@@ -1649,6 +1650,21 @@ impl PrefixCounts {
                 Some(format!(
                     "alloc record names object {} but is allocation {}",
                     object.0, self.objects_allocated
+                ))
+            }
+            Decoded::Event(Event::Spawn { thread, .. })
+                if u64::from(thread.0) != self.spawns + 1 =>
+            {
+                Some(format!(
+                    "spawn record names thread {} but is spawn {}",
+                    thread.0,
+                    self.spawns + 1
+                ))
+            }
+            Decoded::Event(Event::Join { thread, .. }) if u64::from(thread.0) > self.spawns => {
+                Some(format!(
+                    "join record names thread {} but only {} threads were spawned",
+                    thread.0, self.spawns
                 ))
             }
             _ => None,

@@ -106,10 +106,11 @@ fn content_errors_fail_at_pinned_offsets() {
 /// balance fails as a pinned error through `replay`, `salvage` and the
 /// streaming reader before it reaches the sink: a prologue naming a
 /// thread no `Spawn` created, an `Alloc` that does not carry its own
-/// allocation count as the object id, a `Compute` before any frame
-/// push, and a frame pop with no frame open. Unchecked, either id sizes
-/// a table in the graph builder, and either frame fault indexes an
-/// empty shadow stack.
+/// allocation count as the object id, a `Spawn` that does not create the
+/// next thread, a `Join` of a thread never spawned, a `Compute` before
+/// any frame push, and a frame pop with no frame open. Unchecked, each
+/// id sizes or indexes a table in the graph builder, and either frame
+/// fault indexes an empty shadow stack.
 #[test]
 fn sequence_errors_fail_at_pinned_offsets() {
     // A frame push (opcode 16) into method 0 with one local, then an
@@ -118,6 +119,15 @@ fn sequence_errors_fail_at_pinned_offsets() {
     let alloc = [
         16, 0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0x80, 0x92, 0xf4, 0x01, 0, 0,
     ];
+    // The same frame push, then a `Spawn` (opcode 18) at its first
+    // instruction into local 0 naming thread 4,000,000, of method 0 with
+    // no actuals.
+    let spawn = [
+        16, 0, 0, 0, 1, 0, 0, 18, 0, 0, 0, 0x80, 0x92, 0xf4, 0x01, 0, 0,
+    ];
+    // The same frame push, then a `Join` (opcode 19) of thread 1 with no
+    // destination and no value.
+    let join = [16, 0, 0, 0, 1, 0, 0, 19, 0, 0, 0, 1, 4];
     // A `Compute` (opcode 0) of null into local 0 of method 0, with no
     // frame pushed.
     let compute = [0, 0, 0, 0, 0, 0, 0];
@@ -132,6 +142,16 @@ fn sequence_errors_fail_at_pinned_offsets() {
         (
             framed_on(0, &alloc),
             "21: alloc record names object 4000000 but is allocation 0",
+            1,
+        ),
+        (
+            framed_on(0, &spawn),
+            "21: spawn record names thread 4000000 but is spawn 1",
+            1,
+        ),
+        (
+            framed_on(0, &join),
+            "21: join record names thread 1 but only 0 threads were spawned",
             1,
         ),
         (

@@ -278,3 +278,73 @@ fn figure6_eclipse_directory_list() {
             .collect::<Vec<_>>()
     );
 }
+
+/// The clients' chains cross threads as they cross calls: a `Spawn`'s
+/// actuals reach the child's formals, and the child's return value
+/// reaches the `Join`. Here a null loaded from `A.f` is handed to a
+/// worker, copied, returned, joined, stored into `D.g` and dereferenced.
+#[test]
+fn client_chains_cross_spawn_and_join() {
+    let src = r#"
+class A { f }
+class D { g }
+method main/0 {
+  a1 = new A
+  b = a1.f
+  h = spawn work(b)
+  c = join h
+  d = new D
+  d.g = c
+  x = c.f
+  return
+}
+method work/1 {
+  r = p0
+  return r
+}
+"#;
+    let p = parse_program(src).unwrap();
+    let (main, work) = (MethodId(0), MethodId(1));
+    let (load, join, store) = (
+        InstrId::new(main, 1),
+        InstrId::new(main, 3),
+        InstrId::new(main, 5),
+    );
+    let copy = InstrId::new(work, 0);
+
+    let mut prof = copy_profiler();
+    let _ = Vm::new(&p).run(&mut prof).unwrap_err();
+    let (g, _) = prof.finish();
+    let chains = copy_chains(&g);
+    assert_eq!(chains.len(), 1, "{chains:?}");
+    let ch = &chains[0];
+    assert!(matches!(ch.source, CopySource::Field { .. }));
+    assert!(matches!(ch.dest, CopySource::Field { .. }));
+    assert_eq!(
+        (ch.load, &ch.hops[..], ch.store),
+        (Some(load), &[copy, join][..], store),
+        "the copy chain runs through the worker and the join"
+    );
+
+    let mut prof = null_tracking_profiler();
+    let trap = Vm::new(&p).run(&mut prof).unwrap_err();
+    assert!(matches!(trap.kind, TrapKind::NullDereference { .. }));
+    let r = trace_null_origin(&prof, &trap).unwrap();
+    assert_eq!(
+        r.origin, load,
+        "the null came from the load before the spawn"
+    );
+    assert_eq!(r.flow, [load, copy, join]);
+
+    let mut prof = ConcreteProfiler::new(SlicingMode::Thin);
+    let _ = Vm::new(&p).run(&mut prof).unwrap_err();
+    let g = prof.finish();
+    let slice: Vec<InstrId> = g
+        .backward_slice(g.last_instance_of(store).unwrap())
+        .into_iter()
+        .map(|i| g.instance(i).instr)
+        .collect();
+    for instr in [load, copy, join] {
+        assert!(slice.contains(&instr), "{instr:?} missing from {slice:?}");
+    }
+}

@@ -236,6 +236,7 @@ fn shutdown_wakes_every_listener_promptly() {
         // Stop on another thread, so a thread that never wakes fails
         // the deadline instead of hanging the test.
         let (done, stopped) = std::sync::mpsc::channel();
+        let stopping = Instant::now();
         std::thread::spawn(move || {
             if via_request {
                 let resp = request(&addr.to_string(), "shutdown").unwrap();
@@ -246,21 +247,38 @@ fn shutdown_wakes_every_listener_promptly() {
             }
             let _ = done.send(());
         });
-        stopped
-            .recv_timeout(Duration::from_secs(2))
-            .unwrap_or_else(|_| panic!("{tag} stop did not return within 2 s"));
+        let stop_deadline = Duration::from_secs(2);
+        stopped.recv_timeout(stop_deadline).unwrap_or_else(|_| {
+            panic!(
+                "{tag} stop did not return: {:?} elapsed, deadline {stop_deadline:?}",
+                stopping.elapsed()
+            )
+        });
 
         // Both listeners refuse connections. A CLI test running alongside
         // may hold a forked copy of a listener until its child execs, so
         // allow a moment. (Binding the port again would race client
         // sockets of those tests, which may take the freed number.)
-        let closed_by = Instant::now() + Duration::from_secs(1);
-        while std::net::TcpStream::connect(addr).is_ok()
-            || std::os::unix::net::UnixStream::connect(&sock).is_ok()
-        {
+        let (closing, close_deadline) = (Instant::now(), Duration::from_secs(1));
+        loop {
+            let open: Vec<&str> = [
+                ("TCP", std::net::TcpStream::connect(addr).is_ok()),
+                (
+                    "Unix",
+                    std::os::unix::net::UnixStream::connect(&sock).is_ok(),
+                ),
+            ]
+            .into_iter()
+            .filter_map(|(listener, open)| open.then_some(listener))
+            .collect();
+            if open.is_empty() {
+                break;
+            }
+            let waited = closing.elapsed();
             assert!(
-                Instant::now() < closed_by,
-                "{tag}: a listener is still open"
+                waited < close_deadline,
+                "{tag}: the {} listener is still open: {waited:?} elapsed, deadline {close_deadline:?}",
+                open.join(" and ")
             );
             std::thread::sleep(Duration::from_millis(10));
         }

@@ -192,11 +192,11 @@ fn put_frame(out: &mut Vec<u8>, tag: u8, body: &[u8]) {
 /// Checksum-valid streams whose trailers agree with their contents but
 /// which break the VM's dense numbering or its frame balance: a segment
 /// on thread 4,000,000 with no `Spawn` before it, an `Alloc` of object
-/// 4,000,000 as the first allocation, and a `Compute` before any frame
-/// push. The graph builder would size a table by either id and index an
-/// empty shadow stack for the `Compute`; the daemon rejects all three
-/// before the builder sees them, counts each in `stats`, and keeps
-/// answering.
+/// 4,000,000 as the first allocation, a first `Spawn` naming thread
+/// 4,000,000, and a `Compute` before any frame push. The graph builder
+/// would size a table by any of these ids and index an empty shadow
+/// stack for the `Compute`; the daemon rejects all four before the
+/// builder sees them, counts each in `stats`, and keeps answering.
 #[test]
 fn hostile_thread_and_object_ids_are_rejected() {
     let probe = |segment: &[u8], trailer: &[u8]| {
@@ -210,8 +210,10 @@ fn hostile_thread_and_object_ids_are_rejected() {
     // frames, not in a phase, first gid 0), payload length, payload.
     // 4,000,000 is the varint 80 92 f4 01. The second payload is a frame
     // push (opcode 16) into method 0 with one local, then an `Alloc`
-    // (opcode 2) at its first instruction. The third is a `Compute`
-    // (opcode 0) of null into local 0 at method 0's first instruction.
+    // (opcode 2) at its first instruction. The third is the same push,
+    // then a `Spawn` (opcode 18) into local 0 of method 0 with no
+    // actuals. The fourth is a `Compute` (opcode 0) of null into local 0
+    // at method 0's first instruction.
     let probes = [
         (
             "thread",
@@ -233,6 +235,17 @@ fn hostile_thread_and_object_ids_are_rejected() {
             "names object 4000000 but is allocation 0",
         ),
         (
+            "spawn",
+            probe(
+                &[
+                    0, 4, 0, 0, 0, 0, 17, 16, 0, 0, 0, 1, 0, 0, 18, 0, 0, 0, 0x80, 0x92, 0xf4,
+                    0x01, 0, 0,
+                ],
+                &[1, 1, 0, 1, 1],
+            ),
+            "spawn record names thread 4000000 but is spawn 1",
+        ),
+        (
             "compute",
             probe(
                 &[0, 4, 0, 0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0],
@@ -241,7 +254,7 @@ fn hostile_thread_and_object_ids_are_rejected() {
             "record on thread 0 outside any frame",
         ),
     ];
-    assert_eq!(probes[2].1.len(), 36, "the compute-before-push trace");
+    assert_eq!(probes[3].1.len(), 36, "the compute-before-push trace");
     let data = tmpdir("hostile");
     let handle = Server::start(ServeConfig {
         data_dir: data.clone(),
